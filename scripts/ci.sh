@@ -18,9 +18,12 @@
 #         `needs-disk` ctest label — checksums, corruption round trips,
 #         retries, breaker trips, the snapshot round-trip and
 #         corrupt-snapshot suites (hostile *.lsnap files, snapshot
-#         serving under the fault injector), and the concurrent
-#         robustness suite — which must report zero memory errors even
-#         while pages are corrupted and reads fail. Test selection lives
+#         serving under the fault injector), the concurrent
+#         robustness suite, the lock-free zero-copy snapshot suite
+#         (SnapshotConcurrencyTest) and the cancelled-retry suite on both
+#         pool paths (PoolRetryCancelTest) — which must report zero memory
+#         errors even while pages are corrupted, reads fail, and workers
+#         race on first touches. Test selection lives
 #         in tests/CMakeLists.txt as labels, not in hard-coded filter
 #         lists here.
 # Tier 2c: rebuild with UndefinedBehaviorSanitizer (-DLSDB_SAN=undefined,

@@ -146,8 +146,12 @@ class SpatialIndex {
   /// Read-only serving mode. After Freeze(), Insert/Erase fail with
   /// FailedPrecondition-style InvalidArgument until Thaw(). Queries on a
   /// frozen index mutate no structural state, so any number of threads may
-  /// run WindowQueryEx/PointQueryEx/Nearest concurrently (the buffer pool
-  /// serializes page access internally).
+  /// run WindowQueryEx/PointQueryEx/Nearest concurrently: a copying buffer
+  /// pool serializes page access under its mutex, and a zero-copy snapshot
+  /// pool serves the immutable pages with no lock. The structure-owned
+  /// MetricCounters have a single writer, so each concurrent caller must
+  /// install a ScopedCounterSink (util/counters.h); the query service
+  /// always does.
   void Freeze() { frozen_ = true; }
   /// Thaw drops any scan cache: it is a view of the frozen tree and would
   /// go stale the moment mutations resume.

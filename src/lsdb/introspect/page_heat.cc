@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
-#include <thread>
+
+#include "lsdb/util/sharded_counter.h"
 
 namespace lsdb {
 namespace introspect {
@@ -22,8 +22,7 @@ PageHeatMap::PageHeatMap(uint32_t page_count, uint32_t shards)
 }
 
 uint32_t PageHeatMap::ShardForThisThread() const {
-  const size_t h = std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return static_cast<uint32_t>(h % shard_count_);
+  return ThisThreadShard() % shard_count_;
 }
 
 void PageHeatMap::Touch(PageId id) {

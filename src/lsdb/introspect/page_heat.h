@@ -6,8 +6,9 @@
 // default: an unattached pool pays one null-pointer test per access.
 //
 // Shards exist purely to keep concurrent workers off the same cache lines;
-// any thread may touch any shard (the shard is picked by thread identity),
-// and Merge() folds them into a plain per-page vector for reporting.
+// any thread may touch any shard (the shard is the thread's round-robin
+// ThisThreadShard() index, as for util/sharded_counter.h), and Merge()
+// folds them into a plain per-page vector for reporting.
 
 #ifndef LSDB_INTROSPECT_PAGE_HEAT_H_
 #define LSDB_INTROSPECT_PAGE_HEAT_H_

@@ -145,10 +145,11 @@ class Tracer {
   std::atomic<uint64_t> lines_emitted_{0};
   std::atomic<uint64_t> lines_dropped_{0};
 
-  /// Guards the sink and options below. When a BufferPool has this
-  /// tracer attached, emission happens with the pool's mutex held: the
-  /// lock order is always pool -> tracer, never the reverse (the tracer
-  /// calls nothing that could take a pool lock).
+  /// Guards the sink and options below. When a copying BufferPool has
+  /// this tracer attached, emission happens with the pool's mutex held:
+  /// the lock order is always pool -> tracer, never the reverse (the
+  /// tracer calls nothing that could take a pool lock). Zero-copy pools
+  /// emit holding no lock.
   Mutex mu_{"Tracer.mu"};
   TracerOptions options_ LSDB_GUARDED_BY(mu_);
   /// Bytes appended to the current sink.

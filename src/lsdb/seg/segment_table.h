@@ -46,7 +46,10 @@ class SegmentTable {
   /// Appends a segment, returning its dense id.
   [[nodiscard]] StatusOr<SegmentId> Append(const Segment& s);
 
-  /// Fetches segment `id`. Counts one segment comparison.
+  /// Fetches segment `id`. Counts one segment comparison. Safe from many
+  /// threads on a frozen table when each installs a ScopedCounterSink;
+  /// over a zero-copy pool (a snapshot-served table) the fetch takes no
+  /// lock.
   [[nodiscard]] Status Get(SegmentId id, Segment* out);
 
   /// Rematerializes every record into a flat in-memory array; subsequent

@@ -81,10 +81,15 @@ class CircuitBreaker {
   }
 
   /// Records a successful execution. Returns true iff this call closed a
-  /// previously open breaker (a probe succeeded).
+  /// previously open breaker (a probe succeeded). Nearly every outcome is
+  /// a success on a healthy closed breaker, so it only reads: the shared
+  /// lines are written only when a streak or an open state needs clearing.
   bool RecordSuccess() {
-    consecutive_failures_.store(0, std::memory_order_relaxed);
-    return open_.exchange(false, std::memory_order_acq_rel);
+    if (consecutive_failures_.load(std::memory_order_relaxed) != 0) {
+      consecutive_failures_.store(0, std::memory_order_relaxed);
+    }
+    return open_.load(std::memory_order_acquire) &&
+           open_.exchange(false, std::memory_order_acq_rel);
   }
 
   bool open() const { return open_.load(std::memory_order_acquire); }

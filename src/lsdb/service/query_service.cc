@@ -172,6 +172,22 @@ Status QueryService::SetUpObservability() {
   return Status::OK();
 }
 
+StatsRegistry::Counter* QueryService::QueryCounter(ServedIndex which,
+                                                   QueryType type) {
+  std::atomic<StatsRegistry::Counter*>& slot =
+      query_counters_[static_cast<size_t>(which)][static_cast<size_t>(type)];
+  StatsRegistry::Counter* c = slot.load(std::memory_order_acquire);
+  if (c == nullptr) {
+    // First query of this kind: the counter enters the registry (and so
+    // /metrics) now. Racing first uses resolve the same stable pointer.
+    c = stats_.GetCounter(std::string("lsdb_queries_total{index=\"") +
+                          ServedIndexName(which) + "\",kind=\"" +
+                          QueryTypeName(type) + "\"}");
+    slot.store(c, std::memory_order_release);
+  }
+  return c;
+}
+
 StatsRegistry& QueryService::stats() {
   RefreshGauges();
   return stats_;
@@ -243,7 +259,7 @@ void QueryService::RefreshGauges() {
         ->Set(static_cast<double>(b.times_opened()));
     const FaultStats& fs = fault_injector(which)->stats();
     stats_.GetGauge("lsdb_fault_reads" + labels)
-        ->Set(static_cast<double>(fs.reads.load()));
+        ->Set(static_cast<double>(fs.reads.value()));
     stats_.GetGauge("lsdb_fault_read_transient" + labels)
         ->Set(static_cast<double>(fs.transient_read_faults.load()));
     stats_.GetGauge("lsdb_fault_read_permanent" + labels)
@@ -734,10 +750,7 @@ StatusOr<BatchResult> QueryService::ExecuteBatch(
   for (QueryType type : kAllQueryTypes) {
     const uint64_t n = per_kind[static_cast<size_t>(type)];
     if (n == 0) continue;
-    stats_
-        .GetCounter(std::string("lsdb_queries_total{index=\"") + iname +
-                    "\",kind=\"" + QueryTypeName(type) + "\"}")
-        ->Add(n);
+    QueryCounter(which, type)->Add(n);
   }
   const std::string mlabel = std::string("{index=\"") + iname + "\"}";
   stats_.GetCounter("lsdb_disk_reads_total" + mlabel)
@@ -884,11 +897,7 @@ void QueryService::DispatchOne(uint32_t worker) {
           .count());
   r.latency_ns = ns;
   histogram(t.which, t.request.type)->Record(worker, ns);
-  stats_
-      .GetCounter(std::string("lsdb_queries_total{index=\"") +
-                  ServedIndexName(t.which) + "\",kind=\"" +
-                  QueryTypeName(t.request.type) + "\"}")
-      ->Add(1);
+  QueryCounter(t.which, t.request.type)->Add(1);
   if (tracer_.enabled()) {
     if (r.status.IsDeadlineExceeded()) {
       tracer_.EmitAdmissionEvent(ServedIndexName(t.which), "timeout");

@@ -8,10 +8,12 @@
 // metrics.
 //
 // Concurrency model: the build is single-threaded; serving is read-only.
-// Frozen indexes reject Insert/Erase, the thread-safe BufferPool serializes
-// page access, and every worker accumulates metrics into a thread-private
-// MetricCounters via ScopedCounterSink — the index-owned counters are not
-// touched while serving, and the sequential paper harness is unaffected.
+// Frozen indexes reject Insert/Erase; the thread-safe BufferPool serializes
+// page access on the copying path and takes no lock at all on the zero-copy
+// snapshot path; and every worker accumulates metrics into a thread-private
+// MetricCounters via ScopedCounterSink — the index-owned counters have a
+// single writer and are not touched while serving, and the sequential
+// paper harness is unaffected.
 //
 // The paper-replication numbers (Table 1 / Table 2) are still produced by
 // the sequential harness in lsdb/harness; this subsystem is the
@@ -284,6 +286,10 @@ class QueryService {
     return histograms_[static_cast<size_t>(which)][static_cast<size_t>(type)]
         .get();
   }
+  /// lsdb_queries_total{index,kind}, resolved in the registry on first use
+  /// and cached, so admitted queries never build its name or take the
+  /// registry mutex.
+  StatsRegistry::Counter* QueryCounter(ServedIndex which, QueryType type);
 
   ServiceOptions options_;
 
@@ -324,6 +330,11 @@ class QueryService {
   std::unique_ptr<LatencyHistogram>
       histograms_[std::size(kAllServedIndexes)][std::size(kAllQueryTypes)];
   std::atomic<uint64_t> next_query_id_{0};  ///< Trace span ids.
+  /// [structure][query kind] cache behind QueryCounter(); null until the
+  /// first query of that kind.
+  std::atomic<StatsRegistry::Counter*>
+      query_counters_[std::size(kAllServedIndexes)]
+                     [std::size(kAllQueryTypes)] = {};
 
   // Introspection state (see set_introspection / EnablePageHeat).
   std::atomic<bool> introspect_on_{false};

@@ -17,11 +17,28 @@ namespace {
 /// re-check the page map (another thread may have loaded the page, or
 /// released a pin on it) before searching for a victim again.
 constexpr uint32_t kRetryFrame = 0xffffffffu;
+
+/// Increment of a counter whose writers all hold the pool mutex (the
+/// copying path): a plain load and store, no locked read-modify-write.
+void BumpLocked(std::atomic<uint64_t>& c) {
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
+/// Linear backoff before retry `attempt` + 1: attempt * backoff_us.
+void Backoff(uint32_t backoff_us, uint32_t attempt) {
+  if (backoff_us > 0) {
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(backoff_us * attempt));
+  }
+}
 }  // namespace
 
 BufferPool::BufferPool(PageFile* file, uint32_t frame_count,
                        MetricCounters* metrics)
-    : file_(file), metrics_(metrics), frame_count_(frame_count) {
+    : file_(file),
+      metrics_(metrics),
+      frame_count_(frame_count),
+      zero_copy_(file->zero_copy()) {
   assert(frame_count >= 1);  // NOLINT(lsdb-assert-on-disk): constructor option validation
   frames_.resize(frame_count);
   free_frames_.reserve(frame_count);
@@ -97,12 +114,13 @@ void BufferPool::PinLocked(uint32_t frame) {
 }
 
 Status BufferPool::ReadPageVerified(PageId id, uint8_t* buf) {
+  const RetryPolicy retry = retry_policy();
   for (uint32_t attempt = 1;; ++attempt) {
     uint32_t stored = 0;
     const Status s = file_->Read(id, buf, &stored);
     if (s.ok()) {
       if (crc32c::Compute(buf, file_->page_size()) != stored) {
-        ++checksum_failures_;
+        checksum_failures_.fetch_add(1, std::memory_order_relaxed);
         return Status::Corruption("page " + std::to_string(id) +
                                   " failed checksum verification");
       }
@@ -110,32 +128,27 @@ Status BufferPool::ReadPageVerified(PageId id, uint8_t* buf) {
     }
     // Only transient-looking IO errors are worth retrying; corruption and
     // argument errors are final.
-    if (!s.IsIoError() || attempt >= retry_max_attempts_) return s;
+    if (!s.IsIoError() || attempt >= retry.max_attempts) return s;
     // A cancelled or deadline-expired query gives up instead of burning
     // its remaining budget in backoff sleeps.
     if (CancelToken* tok = ThreadCancelToken()) {
       LSDB_RETURN_IF_ERROR(tok->StatusNow());
     }
-    ++io_retries_;
-    if (retry_backoff_us_ > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(retry_backoff_us_ * attempt));
-    }
+    io_retries_.fetch_add(1, std::memory_order_relaxed);
+    Backoff(retry.backoff_us, attempt);
   }
 }
 
 Status BufferPool::WritePageStamped(PageId id, const uint8_t* buf) {
   const uint32_t crc = crc32c::Compute(buf, file_->page_size());
+  const RetryPolicy retry = retry_policy();
   for (uint32_t attempt = 1;; ++attempt) {
     const Status s = file_->Write(id, buf, crc);
-    if (s.ok() || !s.IsIoError() || attempt >= retry_max_attempts_) {
+    if (s.ok() || !s.IsIoError() || attempt >= retry.max_attempts) {
       return s;
     }
-    ++io_retries_;
-    if (retry_backoff_us_ > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(retry_backoff_us_ * attempt));
-    }
+    io_retries_.fetch_add(1, std::memory_order_relaxed);
+    Backoff(retry.backoff_us, attempt);
   }
 }
 
@@ -226,9 +239,11 @@ void BufferPool::Unpin(uint32_t frame) {
 }
 
 StatusOr<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
-  if (file_->zero_copy()) return FetchZeroCopy(id);
+  if (zero_copy_) return FetchZeroCopy(id);
   MutexLock lk(mu_);
-  if (heat_ != nullptr) heat_->Touch(id);
+  if (introspect::PageHeatMap* heat = heat_.load(std::memory_order_acquire)) {
+    heat->Touch(id);
+  }
   if (MetricCounters* m = CounterSink(metrics_)) ++m->page_fetches;
   for (;;) {
     auto it = page_to_frame_.find(id);
@@ -240,7 +255,7 @@ StatusOr<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
         fr.in_lru = false;
       }
       PinLocked(f);
-      ++hits_;
+      hits_.AddSerialized();
       TraceEvent(PoolEvent::kHit);
       return PageRef(this, f, id);
     }
@@ -260,44 +275,51 @@ StatusOr<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
     fr.dirty = false;
     PinLocked(f);
     page_to_frame_[id] = f;
-    ++misses_;
+    BumpLocked(misses_);
     TraceEvent(PoolEvent::kMiss);
     return PageRef(this, f, id);
   }
 }
 
 StatusOr<BufferPool::PageRef> BufferPool::FetchZeroCopy(PageId id) {
-  // No frame, no pin: the backend hands out a borrowed pointer into its
-  // mapping. Counting mirrors the copying path — every fetch is a
-  // page_fetch; the page's first touch (when it is checksum-verified and
-  // genuinely faulted in) is the miss / disk_read, later touches are hits.
-  MutexLock lk(mu_);
-  if (heat_ != nullptr) heat_->Touch(id);
+  // No frame, no pin, no lock: the backend hands out a borrowed pointer
+  // into its immutable mapping, and MapPage()'s atomic claim decides the
+  // one first touch per page. Counting mirrors the copying path — every
+  // fetch is a page_fetch; the page's first touch (when it is
+  // checksum-verified and genuinely faulted in) is the miss / disk_read,
+  // later touches are hits. Metric increments go to the caller's
+  // ScopedCounterSink when one is installed (see the file comment).
+  if (introspect::PageHeatMap* heat = heat_.load(std::memory_order_acquire)) {
+    heat->Touch(id);
+  }
   if (MetricCounters* m = CounterSink(metrics_)) ++m->page_fetches;
+  const RetryPolicy retry = retry_policy();
   for (uint32_t attempt = 1;; ++attempt) {
     auto mapped = file_->MapPage(id);
     if (mapped.ok()) {
       if (mapped->first_touch) {
         if (MetricCounters* m = CounterSink(metrics_)) ++m->disk_reads;
-        ++misses_;
+        misses_.fetch_add(1, std::memory_order_relaxed);
         TraceEvent(PoolEvent::kMiss);
       } else {
-        ++hits_;
+        hits_.Add();
         TraceEvent(PoolEvent::kHit);
       }
       return PageRef(mapped->data, id);
     }
     const Status s = mapped.status();
     if (s.IsCorruption()) {
-      ++checksum_failures_;
+      checksum_failures_.fetch_add(1, std::memory_order_relaxed);
       return s;
     }
-    if (!s.IsIoError() || attempt >= retry_max_attempts_) return s;
-    ++io_retries_;
-    if (retry_backoff_us_ > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(retry_backoff_us_ * attempt));
+    if (!s.IsIoError() || attempt >= retry.max_attempts) return s;
+    // Same as the copying path: a cancelled or deadline-expired query
+    // stops retrying and surfaces its breaker-neutral status.
+    if (CancelToken* tok = ThreadCancelToken()) {
+      LSDB_RETURN_IF_ERROR(tok->StatusNow());
     }
+    io_retries_.fetch_add(1, std::memory_order_relaxed);
+    Backoff(retry.backoff_us, attempt);
   }
 }
 
@@ -360,16 +382,6 @@ Status BufferPool::Free(PageId id) {
   return file_->Free(id);
 }
 
-uint64_t BufferPool::hits() const {
-  MutexLock lk(mu_);
-  return hits_;
-}
-
-uint64_t BufferPool::misses() const {
-  MutexLock lk(mu_);
-  return misses_;
-}
-
 uint64_t BufferPool::evictions() const {
   MutexLock lk(mu_);
   return evictions_;
@@ -381,44 +393,34 @@ uint64_t BufferPool::pin_waits() const {
 }
 
 double BufferPool::hit_ratio() const {
-  MutexLock lk(mu_);
-  const uint64_t total = hits_ + misses_;
+  const uint64_t h = hits();
+  const uint64_t total = h + misses();
   return total == 0 ? 0.0
-                    : static_cast<double>(hits_) / static_cast<double>(total);
+                    : static_cast<double>(h) / static_cast<double>(total);
 }
 
-uint64_t BufferPool::io_retries() const {
-  MutexLock lk(mu_);
-  return io_retries_;
-}
-
-uint64_t BufferPool::checksum_failures() const {
-  MutexLock lk(mu_);
-  return checksum_failures_;
+BufferPool::RetryPolicy BufferPool::retry_policy() const {
+  const uint64_t packed = retry_policy_.load(std::memory_order_relaxed);
+  return RetryPolicy{static_cast<uint32_t>(packed >> 32),
+                     static_cast<uint32_t>(packed)};
 }
 
 void BufferPool::SetRetryPolicy(uint32_t max_attempts, uint32_t backoff_us) {
-  MutexLock lk(mu_);
-  retry_max_attempts_ = max_attempts < 1 ? 1 : max_attempts;
-  retry_backoff_us_ = backoff_us;
+  const uint64_t attempts = max_attempts < 1 ? 1 : max_attempts;
+  retry_policy_.store(attempts << 32 | backoff_us, std::memory_order_relaxed);
 }
 
-void BufferPool::SetTracer(Tracer* tracer, std::string pool_name) {
-  MutexLock lk(mu_);
-  tracer_ = tracer;
-  pool_name_ = std::move(pool_name);
-}
-
-void BufferPool::SetPageHeat(introspect::PageHeatMap* heat) {
-  MutexLock lk(mu_);
-  heat_ = heat;
+void BufferPool::SetTracer(Tracer* tracer, const char* pool_name) {
+  pool_name_.store(pool_name, std::memory_order_relaxed);
+  tracer_.store(tracer, std::memory_order_release);
 }
 
 void BufferPool::TraceEvent(PoolEvent e) const {
-  // Called with mu_ held; the tracer does its own sampling and locking
-  // (lock order pool -> tracer, never the reverse).
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->EmitPoolEvent(pool_name_.c_str(), e);
+  // The tracer does its own sampling and locking; on the copying path the
+  // lock order is pool -> tracer, never the reverse.
+  Tracer* tracer = tracer_.load(std::memory_order_acquire);
+  if (tracer != nullptr && tracer->enabled()) {
+    tracer->EmitPoolEvent(pool_name_.load(std::memory_order_relaxed), e);
   }
 }
 

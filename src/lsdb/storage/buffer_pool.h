@@ -11,24 +11,37 @@
 // time keeps the pool functional even at the smallest configurations used
 // in the Figure 6 sweep.
 //
-// Thread safety (added for the concurrent query service): all pool state is
-// guarded by one mutex, so any number of threads may Fetch/Release
-// concurrently. Page IO happens under the mutex, which keeps the replacement
-// order — and therefore the paper's disk-access counts — exactly the
-// single-threaded LRU semantics. When every frame is pinned, a Fetch whose
-// calling thread holds *all* the pins fails immediately with
-// ResourceExhausted (waiting would self-deadlock; this preserves the
-// single-threaded behaviour), otherwise it blocks on a condition variable
-// until another thread releases a pin (bounded by kExhaustedWaitMs).
-// A PageRef must be released on the thread that fetched it; frame contents
-// are stable while pinned, so readers never need the mutex for data().
+// Thread safety (added for the concurrent query service): any number of
+// threads may Fetch/Release concurrently. A pool is copying or zero-copy
+// for its whole life, fixed by its backend at construction:
+//
+//  * Copying (LRU frames): all frame state is guarded by one mutex, and
+//    page IO happens under it, which keeps the replacement order — and
+//    therefore the paper's disk-access counts — exactly the
+//    single-threaded LRU semantics. When every frame is pinned, a Fetch
+//    whose calling thread holds *all* the pins fails immediately with
+//    ResourceExhausted (waiting would self-deadlock; this preserves the
+//    single-threaded behaviour), otherwise it blocks on a condition
+//    variable until another thread releases a pin (bounded by
+//    kExhaustedWaitMs). A PageRef must be released on the thread that
+//    fetched it; frame contents are stable while pinned, so readers never
+//    need the mutex for data().
+//  * Zero-copy (frozen snapshot sections): Fetch takes no lock at all. The
+//    pages are immutable, the backend's atomic first-touch claim decides
+//    which fetch counts as the miss, and the pool's counters and
+//    attachments (retry policy, tracer, heat map) are atomics.
+//
+// Metric counters: the MetricCounters passed at construction have a single
+// writer. Threads that fetch concurrently must each install a
+// ScopedCounterSink (util/counters.h) so their increments land in private
+// counters; the query service always does.
 
 #ifndef LSDB_STORAGE_BUFFER_POOL_H_
 #define LSDB_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -36,6 +49,7 @@
 #include "lsdb/storage/page_file.h"
 #include "lsdb/util/counters.h"
 #include "lsdb/util/mutex.h"
+#include "lsdb/util/sharded_counter.h"
 #include "lsdb/util/status.h"
 #include "lsdb/util/thread_annotations.h"
 
@@ -134,44 +148,55 @@ class BufferPool {
   // -- Observability ------------------------------------------------------
   // Lifetime pool behaviour, tracked independently of MetricCounters (the
   // paper's metrics are untouched; these exist for cache-behaviour reports
-  // and the obs subsystem). All guarded by the pool mutex.
+  // and the obs subsystem). Hit/miss/retry/checksum counts are relaxed
+  // atomics, exact once the pool is quiescent; evictions and pin waits
+  // exist only on the copying path and are guarded by the pool mutex.
 
-  /// Fetches served from a resident frame.
-  uint64_t hits() const LSDB_EXCLUDES(mu_);
-  /// Fetches that had to read the page from the file.
-  uint64_t misses() const LSDB_EXCLUDES(mu_);
+  /// Fetches served from a resident frame (zero-copy: from a page already
+  /// touched).
+  uint64_t hits() const { return hits_.value(); }
+  /// Fetches that had to read the page from the file (zero-copy: the
+  /// page's first touch).
+  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   /// Pages pushed out of the pool to make room (LRU victims).
   uint64_t evictions() const LSDB_EXCLUDES(mu_);
   /// Times a Fetch/New had to wait for another thread to release a pin.
   uint64_t pin_waits() const LSDB_EXCLUDES(mu_);
   /// hits / (hits + misses); 0 when no fetches have happened yet. New()
   /// calls are neither hits nor misses (they never read the file).
-  double hit_ratio() const LSDB_EXCLUDES(mu_);
+  double hit_ratio() const;
   /// Transient-IO retries performed (reads + write-backs, all attempts
   /// after the first).
-  uint64_t io_retries() const LSDB_EXCLUDES(mu_);
+  uint64_t io_retries() const {
+    return io_retries_.load(std::memory_order_relaxed);
+  }
   /// Pages that failed CRC verification on miss (each surfaced to the
   /// caller as Status::Corruption).
-  uint64_t checksum_failures() const LSDB_EXCLUDES(mu_);
+  uint64_t checksum_failures() const {
+    return checksum_failures_.load(std::memory_order_relaxed);
+  }
 
   /// Overrides the transient-IO retry policy. `max_attempts` >= 1 is the
   /// total tries per IO (1 = no retry); `backoff_us` the linear backoff
-  /// unit. Call before sharing the pool across threads.
-  void SetRetryPolicy(uint32_t max_attempts, uint32_t backoff_us)
-      LSDB_EXCLUDES(mu_);
+  /// unit. Both fields are published together as one atomic, so a live
+  /// change applies whole to the next IO that reads it.
+  void SetRetryPolicy(uint32_t max_attempts, uint32_t backoff_us);
 
   /// Attaches `tracer` (not owned; may be null to detach) so pool events —
   /// hit / miss / eviction / pin_wait — are emitted as sampled JSONL
-  /// lines tagged with `pool_name`. Call before sharing the pool across
-  /// threads; with no tracer attached (the default, and always the case in
-  /// the sequential paper harness) the cost is one null-pointer test.
-  void SetTracer(Tracer* tracer, std::string pool_name) LSDB_EXCLUDES(mu_);
+  /// lines tagged with `pool_name`, which must outlive the pool (a string
+  /// literal in practice). With no tracer attached (the default, and
+  /// always the case in the sequential paper harness) the cost is one
+  /// null-pointer test.
+  void SetTracer(Tracer* tracer, const char* pool_name);
 
   /// Attaches `heat` (not owned; may be null to detach) so every logical
   /// page access — copying or zero-copy, hit or miss — bumps its per-page
-  /// counter. Call before sharing the pool across threads; unattached (the
-  /// default) the cost is one null-pointer test per fetch.
-  void SetPageHeat(introspect::PageHeatMap* heat) LSDB_EXCLUDES(mu_);
+  /// counter. Safe while the pool serves; unattached (the default) the
+  /// cost is one null-pointer test per fetch.
+  void SetPageHeat(introspect::PageHeatMap* heat) {
+    heat_.store(heat, std::memory_order_release);
+  }
 
  private:
   struct Frame {
@@ -183,10 +208,16 @@ class BufferPool {
     bool in_lru = false;
   };
 
+  struct RetryPolicy {
+    uint32_t max_attempts;
+    uint32_t backoff_us;
+  };
+
   /// Zero-copy fetch path: borrows the page pointer from the backend's
-  /// MapPage() instead of copying into a frame. Hit/miss/disk-access
-  /// counting mirrors the copying path (first touch = miss).
-  [[nodiscard]] StatusOr<PageRef> FetchZeroCopy(PageId id) LSDB_EXCLUDES(mu_);
+  /// MapPage() instead of copying into a frame, without taking mu_.
+  /// Hit/miss/disk-access counting mirrors the copying path (first touch =
+  /// miss).
+  [[nodiscard]] StatusOr<PageRef> FetchZeroCopy(PageId id);
   /// Finds a frame for a new page: free frame, LRU-evicted victim, or —
   /// when all frames are pinned by *other* threads — waits for a release.
   /// May drop mu_ while waiting (CondVar), but holds it on entry and exit.
@@ -203,11 +234,17 @@ class BufferPool {
   void PinLocked(uint32_t frame) LSDB_REQUIRES(mu_);
   void Unpin(uint32_t frame) LSDB_EXCLUDES(mu_);
   uint32_t SelfPinsLocked() const LSDB_REQUIRES(mu_);
-  void TraceEvent(PoolEvent e) const LSDB_REQUIRES(mu_);
+  /// Emits `e` to the attached tracer, if any. Needs no lock: the copying
+  /// path calls it with mu_ held, the zero-copy path without.
+  void TraceEvent(PoolEvent e) const;
+  RetryPolicy retry_policy() const;
 
   PageFile* file_;
   MetricCounters* metrics_;
   const uint32_t frame_count_;  ///< Immutable after construction.
+  /// file_->zero_copy(), fixed for the pool's life: Fetch dispatches on it
+  /// without a virtual call.
+  const bool zero_copy_;
 
   mutable Mutex mu_{"BufferPool.mu"};
   CondVar frame_released_;
@@ -223,20 +260,24 @@ class BufferPool {
   std::unordered_map<std::thread::id, uint32_t> pins_by_thread_
       LSDB_GUARDED_BY(mu_);
 
-  // Observability (see accessor docs).
-  uint64_t hits_ LSDB_GUARDED_BY(mu_) = 0;
-  uint64_t misses_ LSDB_GUARDED_BY(mu_) = 0;
+  // Observability (see accessor docs). Copying-path writers hold mu_ and
+  // update hits_/misses_ with a plain load and store; zero-copy writers
+  // hold nothing and use atomic adds. A pool never runs both paths.
+  ShardedCounter hits_;  ///< Per-thread slots: every zero-copy hit bumps it.
+  std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> io_retries_{0};
+  std::atomic<uint64_t> checksum_failures_{0};
   uint64_t evictions_ LSDB_GUARDED_BY(mu_) = 0;
   uint64_t pin_waits_ LSDB_GUARDED_BY(mu_) = 0;
-  uint64_t io_retries_ LSDB_GUARDED_BY(mu_) = 0;
-  uint64_t checksum_failures_ LSDB_GUARDED_BY(mu_) = 0;
-  uint32_t retry_max_attempts_ LSDB_GUARDED_BY(mu_) = kDefaultIoAttempts;
-  uint32_t retry_backoff_us_ LSDB_GUARDED_BY(mu_) = kDefaultIoBackoffUs;
-  /// Not owned; null = no tracing.
-  Tracer* tracer_ LSDB_GUARDED_BY(mu_) = nullptr;
-  std::string pool_name_ LSDB_GUARDED_BY(mu_);
+  /// RetryPolicy packed as max_attempts << 32 | backoff_us.
+  std::atomic<uint64_t> retry_policy_{
+      uint64_t{kDefaultIoAttempts} << 32 | kDefaultIoBackoffUs};
+  /// Not owned; null = no tracing. pool_name_ is stored before tracer_ is
+  /// published.
+  std::atomic<Tracer*> tracer_{nullptr};
+  std::atomic<const char*> pool_name_{""};
   /// Not owned; null = off.
-  introspect::PageHeatMap* heat_ LSDB_GUARDED_BY(mu_) = nullptr;
+  std::atomic<introspect::PageHeatMap*> heat_{nullptr};
 };
 
 }  // namespace lsdb

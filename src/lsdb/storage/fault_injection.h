@@ -16,7 +16,10 @@
 //
 // A decorator starts transparent (empty plan, pure pass-through). Services
 // build their structures through it, then arm a plan once frozen, so build
-// determinism and the paper metrics are never affected.
+// determinism and the paper metrics are never affected. While no plan is
+// armed and no page is marked dead, every operation is a lock-free
+// pass-through: one atomic flag decides it, so a transparent injector adds
+// no lock to the zero-copy serving path.
 
 #ifndef LSDB_STORAGE_FAULT_INJECTION_H_
 #define LSDB_STORAGE_FAULT_INJECTION_H_
@@ -28,6 +31,7 @@
 #include "lsdb/storage/page_file.h"
 #include "lsdb/util/mutex.h"
 #include "lsdb/util/random.h"
+#include "lsdb/util/sharded_counter.h"
 #include "lsdb/util/status.h"
 #include "lsdb/util/thread_annotations.h"
 
@@ -66,7 +70,9 @@ struct FaultPlan {
 /// Per-fault counters. Monotonic over the decorator's lifetime; readable
 /// concurrently with serving traffic.
 struct FaultStats {
-  std::atomic<uint64_t> reads{0};   ///< Read attempts seen (incl. failed).
+  /// Read attempts seen (incl. failed). Sharded per thread: every serving
+  /// read bumps it, pass-through or not.
+  ShardedCounter reads;
   std::atomic<uint64_t> writes{0};  ///< Write attempts seen (incl. failed).
   std::atomic<uint64_t> transient_read_faults{0};
   std::atomic<uint64_t> permanent_read_faults{0};
@@ -83,9 +89,12 @@ struct FaultStats {
 };
 
 /// PageFile decorator injecting faults per a FaultPlan. Does not own the
-/// base file, which must outlive it. Thread-safe: the plan, RNG, and dead
-/// page sets are guarded by a mutex (the decorator is below the BufferPool,
-/// whose own mutex already serializes IO in practice).
+/// base file, which must outlive it. Thread-safe. The plan, RNG, and dead
+/// page sets are guarded by a mutex, taken only while armed (an active
+/// plan or a dead page), so an armed plan draws its faults in one seeded
+/// sequence. Unarmed, operations go straight to the base without locking;
+/// zero-copy pools call MapPage() concurrently, without any pool lock
+/// above the decorator.
 class FaultInjectingPageFile : public PageFile {
  public:
   explicit FaultInjectingPageFile(PageFile* base)
@@ -104,7 +113,8 @@ class FaultInjectingPageFile : public PageFile {
   /// "this page died" switch for tests and demos.
   void FailPage(PageId id) LSDB_EXCLUDES(mu_);
   /// While on, every read fails with kIoError (whole device dead). Counted
-  /// as permanent read faults.
+  /// as permanent read faults. Checked before the armed flag, so it works
+  /// on an injector that never had a plan.
   void FailAllReads(bool on) {
     fail_all_reads_.store(on, std::memory_order_relaxed);
   }
@@ -133,7 +143,15 @@ class FaultInjectingPageFile : public PageFile {
   [[nodiscard]] Status Free(PageId id) override { return base_->Free(id); }
 
  private:
-  void MaybeSleep() const;
+  /// Read-fault ladder shared by Read() and MapPage() while armed, under
+  /// one lock: dead page, then the plan's permanent and transient draws,
+  /// then (when `bitflip` is non-null) the bit-flip draw. Returns the
+  /// injected error, or OK with the plan's latency in *latency_us for the
+  /// caller to sleep outside the lock.
+  [[nodiscard]] Status DrawReadFault(PageId id, bool* bitflip,
+                                     uint32_t* latency_us) LSDB_EXCLUDES(mu_);
+  /// Recomputes armed_ after the plan or a dead-page set changed.
+  void UpdateArmedLocked() LSDB_REQUIRES(mu_);
 
   PageFile* base_;
   /// Guards the plan, RNG, and dead-page sets. Sits below the BufferPool
@@ -144,6 +162,9 @@ class FaultInjectingPageFile : public PageFile {
   Rng rng_ LSDB_GUARDED_BY(mu_);
   std::unordered_set<PageId> dead_read_pages_ LSDB_GUARDED_BY(mu_);
   std::unordered_set<PageId> dead_write_pages_ LSDB_GUARDED_BY(mu_);
+  /// plan_.active() or a dead page exists. Written under mu_, read without
+  /// it: false means every operation passes straight through.
+  std::atomic<bool> armed_{false};
   std::atomic<bool> fail_all_reads_{false};
   FaultStats stats_;
 };

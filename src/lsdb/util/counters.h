@@ -11,7 +11,10 @@
 // installs a ScopedCounterSink per worker thread, which redirects every
 // increment made by that thread into a thread-private MetricCounters that
 // the service merges after the batch. With no sink installed, increments go
-// to the structure-owned counters exactly as before.
+// to the structure-owned counters exactly as before. Those counters have a
+// single writer: any caller that runs queries on one structure from several
+// threads must install a sink on each (nothing else serializes them — the
+// zero-copy page path takes no lock).
 
 #ifndef LSDB_UTIL_COUNTERS_H_
 #define LSDB_UTIL_COUNTERS_H_

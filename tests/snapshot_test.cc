@@ -1,7 +1,8 @@
 // Snapshot subsystem: round-trip equivalence of a service served from a
 // single-file snapshot (mmap zero-copy and pool-copy modes), hostile-file
 // validation (every structural corruption is a typed error, never a
-// crash), and snapshot serving under the storage fault injector.
+// crash), snapshot serving under the storage fault injector, and the
+// lock-free zero-copy read path under concurrent traffic.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lsdb/data/county_generator.h"
@@ -475,6 +477,116 @@ TEST(SnapshotFaultTest, DeadStructureDegradesWhileSiblingsServe) {
       EXPECT_TRUE(r.status.ok()) << r.status.ToString();
     }
     EXPECT_FALSE((*svc)->degraded(which));
+  }
+  std::remove(path.c_str());
+}
+
+// -- Lock-free zero-copy serving under concurrency ----------------------------
+
+/// Fetches served by `pool` so far (hits + misses).
+uint64_t Fetches(const BufferPool* pool) {
+  return pool->hits() + pool->misses();
+}
+
+/// Pages of snapshot section `name` verified on first touch so far.
+uint64_t PagesVerified(QueryService* svc, const char* name) {
+  return static_cast<uint64_t>(
+      svc->stats()
+          .GetGauge(std::string("lsdb_snapshot_pages_verified{section=\"") +
+                    name + "\"}")
+          ->value());
+}
+
+// A cold zero-copy service serves concurrent ExecuteBatch and SubmitQuery
+// streams on all three structures at once, so first touches race on every
+// page. Every answer must match the sequential ground truth, each page's
+// first touch must be counted exactly once, and every fetch must land in
+// exactly one hit or miss.
+TEST(SnapshotConcurrencyTest, ConcurrentStreamsMatchSequentialAndCountExactly) {
+  const PolygonalMap map = SmallMap(41);
+  const std::string path = ::testing::TempDir() + "/lsdb_concurrent_" +
+                           std::to_string(::getpid()) + ".lsnap";
+  {
+    ServiceOptions build_opt;
+    build_opt.bulk_build = true;
+    build_opt.num_threads = 1;
+    auto built = QueryService::Build(map, build_opt);
+    ASSERT_TRUE(built.ok());
+    ASSERT_TRUE((*built)->WriteSnapshot(path).ok());
+  }
+  ServiceOptions opt;
+  opt.num_threads = 4;
+  opt.admission.max_queue = 1 << 16;  // nothing sheds
+  const auto batch = MixedBatch(map, 300, 59);
+
+  // Ground truth from a second service, so the one under test starts cold.
+  BatchResult truth[std::size(kAllServedIndexes)];
+  {
+    auto ref = QueryService::OpenFromSnapshot(path, opt, /*zero_copy=*/true);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    for (ServedIndex which : kAllServedIndexes) {
+      auto r = (*ref)->ExecuteBatchSequential(which, batch);
+      ASSERT_TRUE(r.ok());
+      truth[static_cast<size_t>(which)] = std::move(*r);
+    }
+  }
+
+  auto svc = QueryService::OpenFromSnapshot(path, opt, /*zero_copy=*/true);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  QueryService* s = svc->get();
+  constexpr int kRounds = 3;
+  std::vector<std::string> errors(2 * std::size(kAllServedIndexes));
+  std::vector<std::thread> clients;
+  for (ServedIndex which : kAllServedIndexes) {
+    const size_t i = static_cast<size_t>(which);
+    clients.emplace_back([&, which, i] {
+      for (int r = 0; r < kRounds && errors[2 * i].empty(); ++r) {
+        auto res = s->ExecuteBatch(which, batch);
+        if (!res.ok() || !SameResponses(*res, truth[i])) {
+          errors[2 * i] = std::string("ExecuteBatch ") + ServedIndexName(which);
+        }
+      }
+    });
+    clients.emplace_back([&, which, i] {
+      for (int r = 0; r < kRounds && errors[2 * i + 1].empty(); ++r) {
+        auto res = s->ExecuteBatchAdmitted(which, batch);
+        if (!res.ok() || !SameResponses(*res, truth[i])) {
+          errors[2 * i + 1] =
+              std::string("SubmitQuery ") + ServedIndexName(which);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (const std::string& e : errors) EXPECT_TRUE(e.empty()) << e;
+
+  // Each page's first touch was claimed by exactly one racing fetch.
+  const char* sections[] = {"R*", "R+", "PMR"};
+  for (ServedIndex which : kAllServedIndexes) {
+    const char* name = sections[static_cast<size_t>(which)];
+    EXPECT_GT(s->index(which)->pool()->misses(), 0u) << name;
+    EXPECT_EQ(s->index(which)->pool()->misses(), PagesVerified(s, name))
+        << name;
+  }
+  EXPECT_EQ(s->segment_table()->pool()->misses(),
+            PagesVerified(s, "segments"));
+
+  // ExecuteBatch alone: the pools' hits + misses advance by exactly the
+  // page fetches the workers' counter sinks recorded.
+  for (ServedIndex which : kAllServedIndexes) {
+    const BufferPool* pools[] = {s->index(which)->pool(),
+                                 s->segment_table()->pool()};
+    const uint64_t before = Fetches(pools[0]) + Fetches(pools[1]);
+    auto res = s->ExecuteBatch(which, batch);
+    ASSERT_TRUE(res.ok());
+    EXPECT_TRUE(SameResponses(*res, truth[static_cast<size_t>(which)]));
+    uint64_t sink_fetches = 0;
+    for (const MetricCounters& c : res->per_worker) {
+      sink_fetches += c.page_fetches;
+    }
+    EXPECT_GT(sink_fetches, 0u);
+    EXPECT_EQ(Fetches(pools[0]) + Fetches(pools[1]) - before, sink_fetches)
+        << ServedIndexName(which);
   }
   std::remove(path.c_str());
 }

@@ -3,11 +3,17 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <unordered_set>
+#include <vector>
 
+#include "lsdb/service/cancel.h"
+#include "lsdb/service/circuit_breaker.h"
 #include "lsdb/storage/buffer_pool.h"
 #include "lsdb/storage/fault_injection.h"
+#include "lsdb/storage/mmap_page_file.h"
 #include "lsdb/storage/page_file.h"
 #include "lsdb/util/crc32c.h"
+#include "lsdb/util/random.h"
 
 namespace lsdb {
 namespace {
@@ -461,6 +467,194 @@ TEST(PoolRetryTest, FailedDirtyWritebackDoesNotLeakTheFrame) {
     ASSERT_TRUE(ref.ok());
     EXPECT_EQ(ref->data()[0], static_cast<uint8_t>(0x50 + i));
   }
+}
+
+/// `count` pages of `page_size` bytes laid out as snapshot slots (content,
+/// then the little-endian CRC-32C trailer) for an in-memory MmapPageFile.
+/// Page i is filled with byte i + 1.
+std::vector<uint8_t> MappedSlots(uint32_t count, uint32_t page_size) {
+  const uint32_t slot = page_size + kPageTrailerSize;
+  std::vector<uint8_t> bytes(static_cast<size_t>(count) * slot);
+  for (uint32_t i = 0; i < count; ++i) {
+    uint8_t* p = bytes.data() + static_cast<size_t>(i) * slot;
+    std::memset(p, static_cast<int>(i + 1), page_size);
+    const uint32_t crc = crc32c::Compute(p, page_size);
+    for (uint32_t b = 0; b < 4; ++b) {
+      p[page_size + b] = static_cast<uint8_t>(crc >> (8 * b));
+    }
+  }
+  return bytes;
+}
+
+// Regression: the zero-copy path used to sleep through every backoff of an
+// expired query and return kIoError, which the circuit breaker counts as a
+// failure. Both paths must give up at the first backoff past the deadline
+// with the breaker-neutral DeadlineExceeded.
+TEST(PoolRetryCancelTest, ExpiredDeadlineStopsRetriesOnBothPaths) {
+  constexpr uint32_t kPage = 128;
+  const std::vector<uint8_t> slots = MappedSlots(1, kPage);
+  MmapPageFile mapped(slots.data(), 1, kPage, /*zero_copy=*/true);
+  MemPageFile mem(kPage);
+  auto p = mem.Allocate();
+  ASSERT_TRUE(p.ok());
+  const std::vector<uint8_t> page(kPage, 0x5a);
+  ASSERT_TRUE(mem.Write(*p, page.data()).ok());
+  for (PageFile* base : {static_cast<PageFile*>(&mapped),
+                         static_cast<PageFile*>(&mem)}) {
+    const char* path = base->zero_copy() ? "zero-copy" : "copy";
+    FaultInjectingPageFile faulty(base);
+    BufferPool pool(&faulty, 2, nullptr);
+    pool.SetRetryPolicy(/*max_attempts=*/5, /*backoff_us=*/1000);
+    FaultPlan plan;
+    plan.read_transient_rate = 1.0;  // every attempt fails
+    faulty.set_plan(plan);
+    CancelToken token;
+    token.ArmBudget(300'000);  // 300 us: expires during the first backoff
+    ScopedCancelScope scope(&token);
+    auto ref = pool.Fetch(0);
+    ASSERT_FALSE(ref.ok()) << path;
+    EXPECT_TRUE(ref.status().IsDeadlineExceeded())
+        << path << ": " << ref.status().ToString();
+    EXPECT_FALSE(CircuitBreaker::IsFailure(ref.status())) << path;
+    // At most the one backoff that outlived the budget was slept.
+    EXPECT_LE(pool.io_retries(), 1u) << path;
+  }
+}
+
+// -- Fault injector pass-through state changes -------------------------------
+//
+// An injector with no armed plan and no dead page serves every operation
+// straight from its base without locking. These pin that the state changes
+// in and out of that pass-through keep their meaning.
+
+TEST(FaultInjectionTest, FailSwitchesWorkOnANeverArmedInjector) {
+  constexpr uint32_t kPage = 128;
+  const std::vector<uint8_t> slots = MappedSlots(2, kPage);
+  MmapPageFile base(slots.data(), 2, kPage, /*zero_copy=*/true);
+  FaultInjectingPageFile faulty(&base);
+  std::vector<uint8_t> rd(kPage);
+  ASSERT_TRUE(faulty.Read(0, rd.data()).ok());
+  ASSERT_TRUE(faulty.MapPage(0).ok());
+
+  faulty.FailPage(0);
+  EXPECT_TRUE(faulty.Read(0, rd.data()).IsIoError());
+  EXPECT_TRUE(faulty.MapPage(0).status().IsIoError());
+  EXPECT_TRUE(faulty.Read(1, rd.data()).ok());
+  EXPECT_TRUE(faulty.MapPage(1).ok());
+  EXPECT_EQ(faulty.stats().permanent_read_faults.load(), 2u);
+
+  faulty.FailAllReads(true);
+  EXPECT_TRUE(faulty.Read(1, rd.data()).IsIoError());
+  EXPECT_TRUE(faulty.MapPage(1).status().IsIoError());
+  faulty.FailAllReads(false);
+  EXPECT_TRUE(faulty.Read(1, rd.data()).ok());
+  EXPECT_TRUE(faulty.MapPage(1).ok());
+  EXPECT_EQ(faulty.stats().permanent_read_faults.load(), 4u);
+  EXPECT_EQ(faulty.stats().reads.value(), 10u);
+}
+
+TEST(FaultInjectionTest, FailAllReadsWorksWithoutAnyDeadPage) {
+  constexpr uint32_t kPage = 128;
+  const std::vector<uint8_t> slots = MappedSlots(1, kPage);
+  MmapPageFile base(slots.data(), 1, kPage, /*zero_copy=*/true);
+  FaultInjectingPageFile faulty(&base);
+  std::vector<uint8_t> rd(kPage);
+  faulty.FailAllReads(true);
+  EXPECT_TRUE(faulty.Read(0, rd.data()).IsIoError());
+  EXPECT_TRUE(faulty.MapPage(0).status().IsIoError());
+  EXPECT_EQ(faulty.stats().permanent_read_faults.load(), 2u);
+}
+
+TEST(FaultInjectionTest, ClearingThePlanAfterFailPageRestoresPassThrough) {
+  constexpr uint32_t kPage = 128;
+  const std::vector<uint8_t> slots = MappedSlots(1, kPage);
+  MmapPageFile base(slots.data(), 1, kPage, /*zero_copy=*/true);
+  FaultInjectingPageFile faulty(&base);
+  std::vector<uint8_t> rd(kPage);
+  faulty.FailPage(0);
+  ASSERT_TRUE(faulty.Read(0, rd.data()).IsIoError());
+  faulty.set_plan(FaultPlan());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(faulty.Read(0, rd.data()).ok());
+    EXPECT_EQ(rd[0], 1);
+    auto view = faulty.MapPage(0);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(view->data[0], 1);
+  }
+  EXPECT_EQ(faulty.stats().total_faults(), 1u);
+}
+
+// An armed plan draws its faults from one seeded sequence in a fixed order
+// per read: permanent, transient, then (Read only) bit flip and the
+// flipped bit. A model replaying that ladder with the same seed must
+// predict every outcome, every flipped byte, and the stats exactly.
+TEST(FaultInjectionTest, ArmedPlanKeepsItsSeededSequenceAndStats) {
+  constexpr uint32_t kPage = 64;
+  constexpr uint32_t kPages = 8;
+  const std::vector<uint8_t> slots = MappedSlots(kPages, kPage);
+  MmapPageFile base(slots.data(), kPages, kPage, /*zero_copy=*/true);
+  FaultInjectingPageFile faulty(&base);
+  FaultPlan plan;
+  plan.seed = 1234;
+  plan.read_permanent_rate = 0.01;
+  plan.read_transient_rate = 0.3;
+  plan.bitflip_rate = 0.25;
+  faulty.set_plan(plan);
+
+  Rng model(plan.seed);
+  std::unordered_set<PageId> dead;
+  uint64_t transient = 0, permanent = 0, flips = 0;
+  std::vector<uint8_t> rd(kPage);
+  for (uint32_t i = 0; i < 400; ++i) {
+    const PageId page = (i * 5) % kPages;
+    const bool map = i % 3 == 0;
+    bool want_ok = false;
+    int64_t flipped_bit = -1;
+    if (dead.count(page) != 0) {
+      ++permanent;
+    } else if (model.Bernoulli(plan.read_permanent_rate)) {
+      dead.insert(page);
+      ++permanent;
+    } else if (model.Bernoulli(plan.read_transient_rate)) {
+      ++transient;
+    } else {
+      want_ok = true;
+      if (!map && model.Bernoulli(plan.bitflip_rate)) {
+        flipped_bit = static_cast<int64_t>(
+            model.Uniform(static_cast<uint64_t>(kPage) * 8));
+        ++flips;
+      }
+    }
+    std::vector<uint8_t> want(kPage, static_cast<uint8_t>(page + 1));
+    if (flipped_bit >= 0) {
+      want[flipped_bit / 8] ^= static_cast<uint8_t>(1u << (flipped_bit % 8));
+    }
+    if (map) {
+      auto view = faulty.MapPage(page);
+      ASSERT_EQ(view.ok(), want_ok) << "op " << i;
+      if (want_ok) {
+        EXPECT_EQ(std::memcmp(view->data, want.data(), kPage), 0) << i;
+      } else {
+        EXPECT_TRUE(view.status().IsIoError()) << i;
+      }
+    } else {
+      const Status st = faulty.Read(page, rd.data());
+      ASSERT_EQ(st.ok(), want_ok) << "op " << i << ": " << st.ToString();
+      if (want_ok) {
+        EXPECT_EQ(rd, want) << "op " << i;
+      } else {
+        EXPECT_TRUE(st.IsIoError()) << i;
+      }
+    }
+  }
+  const FaultStats& s = faulty.stats();
+  EXPECT_EQ(s.reads.value(), 400u);
+  EXPECT_EQ(s.transient_read_faults.load(), transient);
+  EXPECT_EQ(s.permanent_read_faults.load(), permanent);
+  EXPECT_EQ(s.bitflips.load(), flips);
+  EXPECT_GT(transient, 0u);
+  EXPECT_GT(permanent, 0u);
+  EXPECT_GT(flips, 0u);
 }
 
 }  // namespace

@@ -20,10 +20,12 @@
 #         corrupt-snapshot suites (hostile *.lsnap files, snapshot
 #         serving under the fault injector), the concurrent
 #         robustness suite, the lock-free zero-copy snapshot suite
-#         (SnapshotConcurrencyTest) and the cancelled-retry suite on both
-#         pool paths (PoolRetryCancelTest) — which must report zero memory
-#         errors even while pages are corrupted, reads fail, and workers
-#         race on first touches. Test selection lives
+#         (SnapshotConcurrencyTest), the cancelled-retry suite on both
+#         pool paths (PoolRetryCancelTest), and the B-tree and PMR suites,
+#         whose reads index raw page bytes in place (BTreeCorruptionTest
+#         feeds them hostile pages with valid checksums) — which must
+#         report zero memory errors even while pages are corrupted, reads
+#         fail, and workers race on first touches. Test selection lives
 #         in tests/CMakeLists.txt as labels, not in hard-coded filter
 #         lists here.
 # Tier 2c: rebuild with UndefinedBehaviorSanitizer (-DLSDB_SAN=undefined,

@@ -34,7 +34,123 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
+// Internal pages: one leading child, then `count` (key, child) pairs.
+constexpr uint32_t kInternalStride = 12;
+
 }  // namespace
+
+/// Page layout: byte 0 kind, bytes 2-3 record count, bytes 4-7 / 8-11 the
+/// leaf chain's prev / next, then the records. A leaf holds `count` keys,
+/// each followed by its payload; an internal page holds child 0 and then
+/// `count` (key, child) pairs. Open() validates the header exactly once;
+/// the accessors then read the pinned frame directly, so a probe costs a
+/// binary search over the page rather than a copy of it.
+class BTree::NodeView {
+ public:
+  /// Releases the page held (if any), then pins page `id` of `tree` and
+  /// validates its header. The previous page is released first so a read
+  /// never holds two pages of the pool.
+  [[nodiscard]] Status Open(const BTree& tree, PageId id);
+  /// Open() for a page reached through a leaf's prev/next link, where a
+  /// non-leaf page means a corrupt sibling pointer.
+  [[nodiscard]] Status OpenChained(const BTree& tree, PageId id);
+  void Release() { ref_.Release(); }
+
+  bool leaf() const { return leaf_; }
+  uint32_t count() const { return count_; }
+  /// Leaf chain links (leaves only).
+  PageId prev() const { return GetU32(page_ + 4); }
+  PageId next() const { return GetU32(page_ + 8); }
+  uint64_t key(uint32_t i) const {
+    return GetU64(keys_ + static_cast<size_t>(i) * stride_);
+  }
+  /// Leaves only: the payload bytes of record i.
+  const uint8_t* payload(uint32_t i) const {
+    return keys_ + static_cast<size_t>(i) * stride_ + 8;
+  }
+  /// Internal pages only: child i of count() + 1.
+  PageId child(uint32_t i) const {
+    return GetU32(page_ + kHeaderSize +
+                  static_cast<size_t>(i) * kInternalStride);
+  }
+  /// Internal pages only: all count() + 1 children, copied out so they
+  /// can be visited after this page is released.
+  std::vector<PageId> Children() const {
+    std::vector<PageId> out(static_cast<size_t>(count_) + 1);
+    for (uint32_t i = 0; i <= count_; ++i) out[i] = child(i);
+    return out;
+  }
+  /// First index whose key is >= k, else count().
+  uint32_t LowerBound(uint64_t k) const {
+    return Partition(0, [k](uint64_t x) { return x < k; });
+  }
+  /// First index in [from, count()) whose key is > k, else count().
+  uint32_t UpperBound(uint64_t k, uint32_t from = 0) const {
+    return Partition(from, [k](uint64_t x) { return x <= k; });
+  }
+
+ private:
+  /// Binary search for the first index in [lo, count()) whose key fails
+  /// `before`, assuming the keys there are sorted.
+  template <typename Pred>
+  uint32_t Partition(uint32_t lo, Pred before) const {
+    uint32_t hi = count_;
+    while (lo < hi) {
+      const uint32_t mid = lo + (hi - lo) / 2;
+      if (before(key(mid))) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  BufferPool::PageRef ref_;
+  const uint8_t* page_ = nullptr;
+  const uint8_t* keys_ = nullptr;  // the first key
+  uint32_t stride_ = 0;            // bytes from one key to the next
+  uint32_t count_ = 0;
+  bool leaf_ = false;
+};
+
+Status BTree::NodeView::Open(const BTree& tree, PageId id) {
+  ref_.Release();
+  auto ref = tree.pool_->Fetch(id);
+  if (!ref.ok()) return ref.status();
+  ref_ = std::move(*ref);
+  page_ = ref_.data();
+  const uint8_t kind = page_[0];
+  count_ = GetU16(page_ + 2);
+  // An out-of-range count on a corrupt page would otherwise send the
+  // accessors past the page buffer.
+  if (kind == kLeafKind) {
+    if (count_ > tree.LeafCapacity()) {
+      return Status::Corruption("btree leaf count exceeds capacity");
+    }
+    leaf_ = true;
+    keys_ = page_ + kHeaderSize;
+    stride_ = 8 + tree.payload_size_;
+  } else if (kind == kInternalKind) {
+    if (count_ > tree.InternalCapacity()) {
+      return Status::Corruption("btree internal count exceeds capacity");
+    }
+    leaf_ = false;
+    keys_ = page_ + kHeaderSize + 4;
+    stride_ = kInternalStride;
+  } else {
+    return Status::Corruption("bad btree node kind");
+  }
+  return Status::OK();
+}
+
+Status BTree::NodeView::OpenChained(const BTree& tree, PageId id) {
+  LSDB_RETURN_IF_ERROR(Open(tree, id));
+  if (!leaf_) {
+    return Status::Corruption("btree leaf chain reaches a non-leaf page");
+  }
+  return Status::OK();
+}
 
 BTree::BTree(BufferPool* pool, uint32_t payload_size)
     : pool_(pool), payload_size_(payload_size) {}
@@ -71,51 +187,28 @@ Status BTree::FreeNode(PageId id) {
 }
 
 Status BTree::LoadNode(PageId id, Node* node) {
-  auto ref = pool_->Fetch(id);
-  if (!ref.ok()) return ref.status();
-  const uint8_t* p = ref->data();
-  const uint8_t kind = p[0];
-  const uint16_t count = GetU16(p + 2);
-  node->keys.clear();
-  node->children.clear();
-  node->payloads.clear();
-  // An out-of-range count on a corrupt page would otherwise walk past the
-  // page buffer below.
-  if (kind == kLeafKind && count > LeafCapacity()) {
-    return Status::Corruption("btree leaf count exceeds capacity");
-  }
-  if (kind == kInternalKind && count > InternalCapacity()) {
-    return Status::Corruption("btree internal count exceeds capacity");
-  }
-  if (kind == kLeafKind) {
-    node->leaf = true;
-    node->prev = GetU32(p + 4);
-    node->next = GetU32(p + 8);
-    node->keys.reserve(count);
+  NodeView view;
+  LSDB_RETURN_IF_ERROR(view.Open(*this, id));
+  const uint32_t count = view.count();
+  node->leaf = view.leaf();
+  node->keys.resize(count);
+  for (uint32_t i = 0; i < count; ++i) node->keys[i] = view.key(i);
+  if (node->leaf) {
+    node->prev = view.prev();
+    node->next = view.next();
+    node->children.clear();
     node->payloads.resize(static_cast<size_t>(count) * payload_size_);
-    const uint8_t* q = p + kHeaderSize;
-    for (uint16_t i = 0; i < count; ++i) {
-      node->keys.push_back(GetU64(q));
-      q += 8;
-      if (payload_size_ > 0) {
+    if (payload_size_ > 0) {
+      for (uint32_t i = 0; i < count; ++i) {
         std::memcpy(node->payloads.data() +
                         static_cast<size_t>(i) * payload_size_,
-                    q, payload_size_);
-        q += payload_size_;
+                    view.payload(i), payload_size_);
       }
     }
-  } else if (kind == kInternalKind) {
-    node->leaf = false;
-    node->prev = node->next = kInvalidPageId;
-    const uint8_t* q = p + kHeaderSize;
-    node->children.push_back(GetU32(q));
-    q += 4;
-    for (uint16_t i = 0; i < count; ++i, q += 12) {
-      node->keys.push_back(GetU64(q));
-      node->children.push_back(GetU32(q + 8));
-    }
   } else {
-    return Status::Corruption("bad btree node kind");
+    node->prev = node->next = kInvalidPageId;
+    node->children = view.Children();
+    node->payloads.clear();
   }
   return Status::OK();
 }
@@ -517,7 +610,7 @@ Status BTree::FixUnderflow(PageId parent_id, Node* parent, size_t idx,
   return Status::OK();
 }
 
-StatusOr<PageId> BTree::FindLeaf(uint64_t key) {
+Status BTree::DescendToLeaf(uint64_t key, NodeView* leaf) {
   PageId id = root_;
   // Bound the descent by the tree height: corrupt child pointers can form
   // cycles, and an unbounded loop would hang the query.
@@ -526,77 +619,61 @@ StatusOr<PageId> BTree::FindLeaf(uint64_t key) {
       return Status::Corruption("btree descent exceeds tree height");
     }
     LSDB_RETURN_IF_CANCELLED();
-    Node node;
-    LSDB_RETURN_IF_ERROR(LoadNode(id, &node));
-    LSDB_INTROSPECT(OnBtreeNode(depth - 1, node.leaf, node.keys.size(),
-                                node.leaf ? 0 : 1));
-    if (node.leaf) return id;
-    const size_t idx =
-        std::upper_bound(node.keys.begin(), node.keys.end(), key) -
-        node.keys.begin();
-    id = node.children[idx];
+    LSDB_RETURN_IF_ERROR(leaf->Open(*this, id));
+    if (leaf->leaf()) return Status::OK();
+    LSDB_INTROSPECT(OnBtreeNode(depth - 1, false, leaf->count(), 1));
+    id = leaf->child(leaf->UpperBound(key));
   }
-}
-
-Status BTree::LoadChainedLeaf(PageId id, Node* node) {
-  LSDB_RETURN_IF_ERROR(LoadNode(id, node));
-  if (!node->leaf) {
-    return Status::Corruption("btree leaf chain reaches a non-leaf page");
-  }
-  return Status::OK();
 }
 
 StatusOr<bool> BTree::Contains(uint64_t key) {
-  auto leaf_id = FindLeaf(key);
-  if (!leaf_id.ok()) return leaf_id.status();
-  Node leaf;
-  LSDB_RETURN_IF_ERROR(LoadNode(*leaf_id, &leaf));
-  return std::binary_search(leaf.keys.begin(), leaf.keys.end(), key);
+  NodeView leaf;
+  LSDB_RETURN_IF_ERROR(DescendToLeaf(key, &leaf));
+  LSDB_INTROSPECT(OnBtreeNode(height_ - 1, true, leaf.count(), 0));
+  const uint32_t i = leaf.LowerBound(key);
+  return i < leaf.count() && leaf.key(i) == key;
 }
 
 StatusOr<uint64_t> BTree::SeekLE(uint64_t key) {
-  auto leaf_id = FindLeaf(key);
-  if (!leaf_id.ok()) return leaf_id.status();
-  Node leaf;
-  LSDB_RETURN_IF_ERROR(LoadNode(*leaf_id, &leaf));
-  LSDB_INTROSPECT(OnBtreeNode(height_ - 1, true, leaf.keys.size(), 1));
-  auto it = std::upper_bound(leaf.keys.begin(), leaf.keys.end(), key);
-  if (it != leaf.keys.begin()) return *(it - 1);
+  NodeView node;
+  LSDB_RETURN_IF_ERROR(DescendToLeaf(key, &node));
+  LSDB_INTROSPECT(OnBtreeNode(height_ - 1, true, node.count(), 1));
+  const uint32_t i = node.UpperBound(key);
+  if (i > 0) return node.key(i - 1);
   // All keys here exceed `key`; the predecessor (if any) is the last key of
   // the previous leaf (non-root leaves are never empty). The walk is
-  // bounded by the page count — a longer chain is a pointer cycle.
-  PageId prev = leaf.prev;
+  // bounded by the page count — a longer chain is a pointer cycle — and a
+  // predecessor above `key` means the chain links out of order.
   uint64_t hops = 0;
-  while (prev != kInvalidPageId) {
+  for (PageId prev = node.prev(); prev != kInvalidPageId; prev = node.prev()) {
     if (++hops > live_pages_) {
       return Status::Corruption("btree leaf chain cycle");
     }
-    Node p;
-    LSDB_RETURN_IF_ERROR(LoadChainedLeaf(prev, &p));
-    if (!p.keys.empty()) return p.keys.back();
-    prev = p.prev;
+    LSDB_RETURN_IF_ERROR(node.OpenChained(*this, prev));
+    if (node.count() == 0) continue;
+    const uint64_t found = node.key(node.count() - 1);
+    if (found > key) return Status::Corruption("btree leaf chain out of order");
+    return found;
   }
   return Status::NotFound("no key <= probe");
 }
 
 StatusOr<uint64_t> BTree::SeekGE(uint64_t key) {
-  auto leaf_id = FindLeaf(key);
-  if (!leaf_id.ok()) return leaf_id.status();
-  Node leaf;
-  LSDB_RETURN_IF_ERROR(LoadNode(*leaf_id, &leaf));
-  LSDB_INTROSPECT(OnBtreeNode(height_ - 1, true, leaf.keys.size(), 1));
-  auto it = std::lower_bound(leaf.keys.begin(), leaf.keys.end(), key);
-  if (it != leaf.keys.end()) return *it;
-  PageId next = leaf.next;
+  NodeView node;
+  LSDB_RETURN_IF_ERROR(DescendToLeaf(key, &node));
+  LSDB_INTROSPECT(OnBtreeNode(height_ - 1, true, node.count(), 1));
+  const uint32_t i = node.LowerBound(key);
+  if (i < node.count()) return node.key(i);
   uint64_t hops = 0;
-  while (next != kInvalidPageId) {
+  for (PageId next = node.next(); next != kInvalidPageId; next = node.next()) {
     if (++hops > live_pages_) {
       return Status::Corruption("btree leaf chain cycle");
     }
-    Node n;
-    LSDB_RETURN_IF_ERROR(LoadChainedLeaf(next, &n));
-    if (!n.keys.empty()) return n.keys.front();
-    next = n.next;
+    LSDB_RETURN_IF_ERROR(node.OpenChained(*this, next));
+    if (node.count() == 0) continue;
+    const uint64_t found = node.key(0);
+    if (found < key) return Status::Corruption("btree leaf chain out of order");
+    return found;
   }
   return Status::NotFound("no key >= probe");
 }
@@ -604,41 +681,33 @@ StatusOr<uint64_t> BTree::SeekGE(uint64_t key) {
 Status BTree::Scan(uint64_t lo, uint64_t hi,
                    const std::function<bool(uint64_t, const uint8_t*)>& fn) {
   if (lo > hi) return Status::OK();
-  auto leaf_id = FindLeaf(lo);
-  if (!leaf_id.ok()) return leaf_id.status();
-  PageId id = *leaf_id;
-  bool first = true;
-  uint64_t hops = 0;
-  while (id != kInvalidPageId) {
+  NodeView leaf;
+  LSDB_RETURN_IF_ERROR(DescendToLeaf(lo, &leaf));
+  uint32_t i = leaf.LowerBound(lo);
+  // The descended leaf is the first hop of a walk bounded by the page
+  // count — a longer chain is a pointer cycle.
+  uint64_t hops = 1;
+  for (;;) {
+    // matched = this page's keys inside [lo, hi] (computed only when a
+    // profile is installed; the search is macro-guarded).
+    LSDB_INTROSPECT(OnBtreeNode(height_ - 1, true, leaf.count(),
+                                leaf.UpperBound(hi, i) - i));
+    for (; i < leaf.count(); ++i) {
+      const uint64_t k = leaf.key(i);
+      if (k > hi) return Status::OK();
+      if (!fn(k, payload_size_ > 0 ? leaf.payload(i) : nullptr)) {
+        return Status::OK();
+      }
+    }
+    const PageId next = leaf.next();
+    if (next == kInvalidPageId) return Status::OK();
     if (++hops > live_pages_) {
       return Status::Corruption("btree leaf chain cycle");
     }
     LSDB_RETURN_IF_CANCELLED();
-    Node leaf;
-    LSDB_RETURN_IF_ERROR(LoadChainedLeaf(id, &leaf));
-    size_t i = 0;
-    if (first) {
-      i = std::lower_bound(leaf.keys.begin(), leaf.keys.end(), lo) -
-          leaf.keys.begin();
-      first = false;
-    }
-    // matched = this page's keys inside [lo, hi] (computed only when a
-    // profile is installed; the search is macro-guarded).
-    LSDB_INTROSPECT(OnBtreeNode(
-        height_ - 1, true, leaf.keys.size(),
-        static_cast<uint64_t>(
-            std::upper_bound(leaf.keys.begin() + i, leaf.keys.end(), hi) -
-            (leaf.keys.begin() + i))));
-    for (; i < leaf.keys.size(); ++i) {
-      if (leaf.keys[i] > hi) return Status::OK();
-      const uint8_t* payload =
-          payload_size_ > 0 ? leaf.payloads.data() + i * payload_size_
-                            : nullptr;
-      if (!fn(leaf.keys[i], payload)) return Status::OK();
-    }
-    id = leaf.next;
+    LSDB_RETURN_IF_ERROR(leaf.OpenChained(*this, next));
+    i = 0;
   }
-  return Status::OK();
 }
 
 Status BTree::VisitPages(
@@ -648,12 +717,16 @@ Status BTree::VisitPages(
     if (depth >= height_) {
       return Status::Corruption("btree walk exceeds tree height");
     }
-    Node node;
-    LSDB_RETURN_IF_ERROR(LoadNode(id, &node));
-    fn(depth, node.leaf, static_cast<uint32_t>(node.keys.size()),
-       node.leaf ? LeafCapacity() : InternalCapacity());
-    if (node.leaf) return Status::OK();
-    for (PageId child : node.children) {
+    NodeView node;
+    LSDB_RETURN_IF_ERROR(node.Open(*this, id));
+    const bool leaf = node.leaf();
+    const uint32_t count = node.count();
+    // The children are walked with this page released.
+    const std::vector<PageId> children =
+        leaf ? std::vector<PageId>() : node.Children();
+    node.Release();
+    fn(depth, leaf, count, leaf ? LeafCapacity() : InternalCapacity());
+    for (PageId child : children) {
       LSDB_RETURN_IF_ERROR(self(self, child, depth + 1));
     }
     return Status::OK();
@@ -679,53 +752,51 @@ Status BTree::CheckInvariants() {
 Status BTree::CheckRec(PageId id, uint32_t depth, uint64_t lo, bool has_lo,
                        uint64_t hi, bool has_hi, uint32_t* leaf_depth,
                        uint64_t* key_count, uint32_t* page_count) {
-  Node node;
-  LSDB_RETURN_IF_ERROR(LoadNode(id, &node));
+  // Open() has already rejected a count above the page's capacity.
+  NodeView node;
+  LSDB_RETURN_IF_ERROR(node.Open(*this, id));
   ++*page_count;
-  if (!std::is_sorted(node.keys.begin(), node.keys.end())) {
-    return Status::Corruption("unsorted keys");
+  const uint32_t count = node.count();
+  for (uint32_t i = 1; i < count; ++i) {
+    if (node.key(i) < node.key(i - 1)) {
+      return Status::Corruption("unsorted keys");
+    }
   }
-  for (uint64_t k : node.keys) {
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint64_t k = node.key(i);
     if ((has_lo && k < lo) || (has_hi && k >= hi)) {
       return Status::Corruption("key outside separator bounds");
     }
   }
-  if (node.leaf) {
+  if (node.leaf()) {
     if (*leaf_depth == 0) {
       *leaf_depth = depth;
     } else if (*leaf_depth != depth) {
       return Status::Corruption("leaves at unequal depth");
     }
-    if (id != root_ && node.keys.size() < LeafCapacity() / 2) {
+    if (id != root_ && count < LeafCapacity() / 2) {
       return Status::Corruption("leaf underflow");
     }
-    if (node.keys.size() > LeafCapacity()) {
-      return Status::Corruption("leaf overflow");
-    }
-    if (node.payloads.size() != node.keys.size() * payload_size_) {
-      return Status::Corruption("payload size mismatch");
-    }
-    *key_count += node.keys.size();
+    *key_count += count;
     return Status::OK();
   }
-  if (node.children.size() != node.keys.size() + 1) {
-    return Status::Corruption("child count mismatch");
-  }
-  if (id != root_ && node.keys.size() < InternalCapacity() / 2) {
+  if (id != root_ && count < InternalCapacity() / 2) {
     return Status::Corruption("internal underflow");
   }
-  if (node.keys.size() > InternalCapacity()) {
-    return Status::Corruption("internal overflow");
-  }
-  if (id == root_ && node.keys.empty()) {
+  if (id == root_ && count == 0) {
     return Status::Corruption("internal root without separator");
   }
-  for (size_t i = 0; i < node.children.size(); ++i) {
+  // The children are checked with this page released.
+  std::vector<uint64_t> keys(count);
+  for (uint32_t i = 0; i < count; ++i) keys[i] = node.key(i);
+  const std::vector<PageId> children = node.Children();
+  node.Release();
+  for (size_t i = 0; i < children.size(); ++i) {
     const bool c_has_lo = i > 0 || has_lo;
-    const uint64_t c_lo = i > 0 ? node.keys[i - 1] : lo;
-    const bool c_has_hi = i < node.keys.size() || has_hi;
-    const uint64_t c_hi = i < node.keys.size() ? node.keys[i] : hi;
-    LSDB_RETURN_IF_ERROR(CheckRec(node.children[i], depth + 1, c_lo, c_has_lo,
+    const uint64_t c_lo = i > 0 ? keys[i - 1] : lo;
+    const bool c_has_hi = i < keys.size() || has_hi;
+    const uint64_t c_hi = i < keys.size() ? keys[i] : hi;
+    LSDB_RETURN_IF_ERROR(CheckRec(children[i], depth + 1, c_lo, c_has_lo,
                                   c_hi, c_has_hi, leaf_depth, key_count,
                                   page_count));
   }

@@ -14,10 +14,15 @@
 // quadtree is a single SeekLE).
 //
 // All page access goes through the owning BufferPool, so buffer misses and
-// write-backs are counted as disk accesses. Nodes are deserialized into
-// small in-memory structs, modified, and written back — at most two pages
-// are pinned at any moment, keeping the tree functional even with tiny
-// buffer pools (Figure 6 sweep).
+// write-backs are counted as disk accesses. Reads (Contains, SeekLE,
+// SeekGE, Scan, VisitPages, CheckInvariants) search each pinned page in
+// place: the header is validated once, then keys, children and payloads
+// are read and binary-searched where they lie, and a probe's descent hands
+// its pinned leaf straight to the search instead of fetching it again. A
+// read holds one page at a time, releasing it before the next fetch.
+// Writes (Insert, Erase) decode a node into a small in-memory struct,
+// modify it and store it back, pinning at most two pages at any moment —
+// so the tree keeps working even with tiny buffer pools (Figure 6 sweep).
 
 #ifndef LSDB_BTREE_BTREE_H_
 #define LSDB_BTREE_BTREE_H_
@@ -71,6 +76,9 @@ class BTree {
   /// Visits all records with keys in [lo, hi] in ascending order.
   /// `payload` points at the record's payload bytes (valid only during the
   /// call; null when payload_size is 0). `fn` returns false to stop early.
+  /// `fn` runs with the record's leaf page pinned in this tree's pool: it
+  /// must not modify this tree, and a read of this tree from inside `fn`
+  /// pins a second page of the pool. Other trees and pools are unaffected.
   [[nodiscard]] Status Scan(uint64_t lo, uint64_t hi,
               const std::function<bool(uint64_t, const uint8_t*)>& fn);
 
@@ -120,13 +128,14 @@ class BTree {
     std::vector<uint8_t> payloads;  // leaf: keys.size() * payload_size
   };
 
+  /// A node read in place from its pinned page (defined in btree.cc).
+  class NodeView;
+
   uint32_t LeafCapacity() const;
   uint32_t InternalCapacity() const;  // max number of keys
 
+  /// Decodes a node for the write path (read through a NodeView).
   [[nodiscard]] Status LoadNode(PageId id, Node* node);
-  /// LoadNode that additionally requires a leaf — for prev/next chain
-  /// walks, where a non-leaf page means a corrupt sibling pointer.
-  [[nodiscard]] Status LoadChainedLeaf(PageId id, Node* node);
   [[nodiscard]] Status StoreNode(PageId id, const Node& node);
   [[nodiscard]] StatusOr<PageId> AllocNode();
   [[nodiscard]] Status FreeNode(PageId id);
@@ -148,8 +157,10 @@ class BTree {
   [[nodiscard]] Status FixUnderflow(PageId parent_id, Node* parent, size_t idx,
                       bool* parent_dirty);
 
-  /// Descends to the leaf that would contain `key`; returns its page id.
-  [[nodiscard]] StatusOr<PageId> FindLeaf(uint64_t key);
+  /// Descends to the leaf that would contain `key` and leaves it pinned in
+  /// `leaf`. Inner pages are reported to the query profile here; the leaf
+  /// is left to the caller, which knows how many of its keys matched.
+  [[nodiscard]] Status DescendToLeaf(uint64_t key, NodeView* leaf);
 
   [[nodiscard]] Status CheckRec(PageId id, uint32_t depth, uint64_t lo, bool has_lo,
                   uint64_t hi, bool has_hi, uint32_t* leaf_depth,

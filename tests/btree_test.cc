@@ -2,10 +2,13 @@
 
 #include <array>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "lsdb/btree/btree.h"
+#include "lsdb/introspect/profiler.h"
 #include "lsdb/util/random.h"
 
 namespace lsdb {
@@ -245,6 +248,208 @@ TEST(BTreeTest, PageAccountingTracksFrees) {
   EXPECT_EQ(f.tree.bytes(), f.pool.page_size());
 }
 
+TEST(BTreeTest, ProbeVisitsEachLevelOnce) {
+  // The descent hands its pinned leaf to the search, so a probe fetches
+  // each level once and the query profile sees each page once.
+  TreeFixture f;
+  for (uint64_t k = 0; f.tree.height() < 3; k += 2) {
+    ASSERT_TRUE(f.tree.Insert(k).ok());
+  }
+  const uint32_t h = f.tree.height();
+  ASSERT_EQ(h, 3u);
+  // Key 0 sits in the leftmost leaf with larger keys after it, so no probe
+  // below walks the leaf chain.
+  auto check = [&](const char* what, const std::function<void()>& probe) {
+    introspect::QueryProfile prof;
+    const uint64_t before = f.metrics.page_fetches;
+    {
+      introspect::ScopedQueryProfile scope(&prof);
+      probe();
+    }
+    EXPECT_EQ(f.metrics.page_fetches - before, h) << what;
+    EXPECT_EQ(prof.nodes_visited, h) << what;
+    EXPECT_EQ(prof.leaves_visited, 1u) << what;
+  };
+  check("SeekLE", [&] {
+    auto r = f.tree.SeekLE(1);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, 0u);
+  });
+  check("SeekGE", [&] {
+    auto r = f.tree.SeekGE(0);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, 0u);
+  });
+  check("Contains", [&] {
+    auto r = f.tree.Contains(0);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(*r);
+  });
+  check("Scan", [&] {
+    int seen = 0;
+    ASSERT_TRUE(f.tree.Scan(0, 1, [&](uint64_t, const uint8_t*) {
+      ++seen;
+      return true;
+    }).ok());
+    EXPECT_EQ(seen, 1);
+  });
+}
+
+// ---- Hostile pages that pass their checksum ----
+
+// The on-page layout these tests rewrite: byte 0 is the kind (1 leaf,
+// 2 internal), bytes 2-3 the record count, bytes 4-7 and 8-11 a leaf's
+// prev and next links; an internal page's child i sits at 12 + 12 * i.
+uint16_t PageCount(const uint8_t* p) {
+  uint16_t v;
+  std::memcpy(&v, p + 2, 2);
+  return v;
+}
+void SetCount(uint8_t* p, uint16_t v) { std::memcpy(p + 2, &v, 2); }
+void SetPrev(uint8_t* p, PageId v) { std::memcpy(p + 4, &v, 4); }
+void SetNext(uint8_t* p, PageId v) { std::memcpy(p + 8, &v, 4); }
+PageId ChildAt(const uint8_t* p, uint32_t i) {
+  PageId v;
+  std::memcpy(&v, p + 12 + 12 * i, 4);
+  return v;
+}
+
+// A two-level tree over the keys 10, 20, ..., 700: five full leaves of 14
+// keys (128-byte pages) under one internal root. Pages are rewritten
+// through the pool, and FlushAll stamps a fresh checksum over each edit;
+// Reader() then opens the tree through a second, empty pool, so every
+// page is read back from the file and passes its checksum. Only the
+// B-tree's own checks stand between the hostile bytes and the caller.
+class BTreeCorruptionTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kMaxKey = 700;
+
+  void SetUp() override {
+    std::vector<uint64_t> keys;
+    for (uint64_t k = 10; k <= kMaxKey; k += 10) keys.push_back(k);
+    ASSERT_TRUE(f_.tree.BulkLoad(keys, nullptr).ok());
+    ASSERT_EQ(f_.tree.height(), 2u);
+    auto root = f_.pool.Fetch(f_.tree.root());
+    ASSERT_TRUE(root.ok());
+    for (uint32_t i = 0; i <= PageCount(root->data()); ++i) {
+      leaves_.push_back(ChildAt(root->data(), i));
+    }
+    ASSERT_EQ(leaves_.size(), 5u);
+  }
+
+  void Rewrite(PageId id, const std::function<void(uint8_t*)>& edit) {
+    {
+      auto ref = f_.pool.Fetch(id);
+      ASSERT_TRUE(ref.ok());
+      edit(ref->data());
+      ref->MarkDirty();
+    }
+    ASSERT_TRUE(f_.pool.FlushAll().ok());
+  }
+
+  BTree& Reader() {
+    reader_.reset();
+    pool_ = std::make_unique<BufferPool>(&f_.file, 4, nullptr);
+    reader_ = std::make_unique<BTree>(pool_.get());
+    reader_->Restore(f_.tree.root(), f_.tree.size(), f_.tree.height(),
+                     f_.tree.live_pages());
+    return *reader_;
+  }
+
+  static Status ScanAll(BTree& t, uint64_t lo, uint64_t hi) {
+    return t.Scan(lo, hi, [](uint64_t, const uint8_t*) { return true; });
+  }
+
+  TreeFixture f_;
+  std::vector<PageId> leaves_;  // left to right
+  std::unique_ptr<BufferPool> pool_;
+  std::unique_ptr<BTree> reader_;
+};
+
+void ExpectCorruption(const Status& s, const char* what, const char* msg) {
+  EXPECT_TRUE(s.IsCorruption()) << what << ": " << s.ToString();
+  EXPECT_EQ(s.message(), msg) << what;
+}
+
+TEST_F(BTreeCorruptionTest, LeafCountOverCapacity) {
+  // Leaf 1 holds the keys 150..280; 15 records do not fit a 128-byte page.
+  Rewrite(leaves_[1], [](uint8_t* p) { SetCount(p, 15); });
+  BTree& t = Reader();
+  const char* msg = "btree leaf count exceeds capacity";
+  ExpectCorruption(t.SeekLE(200).status(), "SeekLE", msg);
+  ExpectCorruption(t.SeekGE(200).status(), "SeekGE", msg);
+  ExpectCorruption(t.Contains(200).status(), "Contains", msg);
+  ExpectCorruption(ScanAll(t, 200, 210), "Scan", msg);
+  // A scan that starts in the next leaf never reads the hostile page.
+  EXPECT_TRUE(ScanAll(t, 300, 310).ok());
+}
+
+TEST_F(BTreeCorruptionTest, UnknownKindByte) {
+  Rewrite(leaves_[2], [](uint8_t* p) { p[0] = 7; });
+  BTree& t = Reader();
+  const char* msg = "bad btree node kind";
+  ExpectCorruption(t.SeekLE(350).status(), "SeekLE", msg);
+  ExpectCorruption(t.SeekGE(350).status(), "SeekGE", msg);
+  ExpectCorruption(t.Contains(350).status(), "Contains", msg);
+  ExpectCorruption(ScanAll(t, 350, 360), "Scan", msg);
+  // The same byte on the root stops every descent at its first page.
+  Rewrite(f_.tree.root(), [](uint8_t* p) { p[0] = 0; });
+  BTree& t2 = Reader();
+  ExpectCorruption(t2.SeekLE(10).status(), "root SeekLE", msg);
+  ExpectCorruption(t2.Contains(10).status(), "root Contains", msg);
+}
+
+TEST_F(BTreeCorruptionTest, InternalPageInLeafChain) {
+  // Every leaf's prev and next name the (internal) root.
+  for (PageId leaf : leaves_) {
+    Rewrite(leaf, [this](uint8_t* p) {
+      SetPrev(p, f_.tree.root());
+      SetNext(p, f_.tree.root());
+    });
+  }
+  BTree& t = Reader();
+  const char* msg = "btree leaf chain reaches a non-leaf page";
+  // Below the least key SeekLE walks prev; above the greatest SeekGE walks
+  // next; a scan across a leaf boundary follows next.
+  ExpectCorruption(t.SeekLE(5).status(), "SeekLE", msg);
+  ExpectCorruption(t.SeekGE(kMaxKey + 5).status(), "SeekGE", msg);
+  ExpectCorruption(ScanAll(t, 100, 200), "Scan", msg);
+  // Contains never follows the chain: it still answers.
+  auto c = t.Contains(150);
+  ASSERT_TRUE(c.ok());
+  EXPECT_TRUE(*c);
+}
+
+TEST_F(BTreeCorruptionTest, LeafChainLoopsToItself) {
+  const PageId first = leaves_.front(), last = leaves_.back();
+  Rewrite(first, [first](uint8_t* p) { SetPrev(p, first); });
+  Rewrite(last, [last](uint8_t* p) { SetNext(p, last); });
+  {
+    BTree& t = Reader();
+    // A scan runs round the loop until the hop bound (the page count)
+    // stops it; a seek past the end finds keys on the wrong side.
+    ExpectCorruption(ScanAll(t, 0, ~uint64_t{0}), "Scan",
+                     "btree leaf chain cycle");
+    ExpectCorruption(t.SeekGE(kMaxKey + 5).status(), "SeekGE",
+                     "btree leaf chain out of order");
+    ExpectCorruption(t.SeekLE(5).status(), "SeekLE",
+                     "btree leaf chain out of order");
+    auto c = t.Contains(kMaxKey);
+    ASSERT_TRUE(c.ok());
+    EXPECT_TRUE(*c);
+  }
+  // Emptied, the looping leaves give a seek nothing to stop at: only the
+  // hop bound ends the walk.
+  Rewrite(first, [](uint8_t* p) { SetCount(p, 0); });
+  Rewrite(last, [](uint8_t* p) { SetCount(p, 0); });
+  BTree& t = Reader();
+  ExpectCorruption(t.SeekLE(5).status(), "SeekLE", "btree leaf chain cycle");
+  ExpectCorruption(t.SeekGE(kMaxKey + 5).status(), "SeekGE",
+                   "btree leaf chain cycle");
+  auto c = t.Contains(kMaxKey);
+  ASSERT_TRUE(c.ok());
+  EXPECT_FALSE(*c);
+}
 
 // ---- Payload records (the PMR "3-tuple" substrate) ----
 

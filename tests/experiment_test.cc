@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <sstream>
+#include <string>
+
 #include "lsdb/data/county_generator.h"
 #include "lsdb/harness/experiment.h"
 #include "lsdb/query/point_gen.h"
@@ -100,6 +105,120 @@ TEST(ExperimentTest, BuildOneMatchesKinds) {
     ASSERT_TRUE(st.ok()) << StructureName(kind);
     EXPECT_EQ(st->kind, kind);
     EXPECT_GT(st->bytes, 0u);
+  }
+}
+
+// One structure's paper counts on SmallCounty: the build's disk accesses,
+// then per workload (kAllWorkloads order) the totals over all queries of
+// disk accesses, segment comparisons, and bbox (R*/R+) or bucket (PMR)
+// computations.
+struct PaperCounts {
+  uint64_t build_disk_accesses = 0;
+  std::array<uint64_t, 7> disk_accesses{};
+  std::array<uint64_t, 7> segment_comps{};
+  std::array<uint64_t, 7> bbox_bucket_comps{};
+  bool operator==(const PaperCounts&) const = default;
+};
+
+std::string FormatCounts(const PaperCounts& c) {
+  std::ostringstream os;
+  auto row = [&os](const std::array<uint64_t, 7>& a) {
+    os << "{";
+    for (size_t i = 0; i < a.size(); ++i) os << (i ? ", " : "") << a[i];
+    os << "}";
+  };
+  os << "{" << c.build_disk_accesses << ",\n ";
+  row(c.disk_accesses);
+  os << ",\n ";
+  row(c.segment_comps);
+  os << ",\n ";
+  row(c.bbox_bucket_comps);
+  os << "}";
+  return os.str();
+}
+
+// Pins the paper's Table 1/2 counts exactly. Any change to page traffic,
+// eviction order or comparison counting in R*, R+, PMR or the segment
+// table shows up here; the 2-frame pools are the Figure 6 corner, where a
+// single extra or missing page fetch changes the disk-access totals.
+TEST(ExperimentTest, PaperCountsMatchGolden) {
+  struct Golden {
+    uint32_t frames;
+    StructureKind kind;
+    PaperCounts counts;
+  };
+  const Golden kGolden[] = {
+      // A change to any value here changes the paper's metrics: update a
+      // row only on purpose, from the actual values the failure prints.
+      {16, StructureKind::kRStar,
+       {370,
+        {89, 88, 105, 111, 254, 268, 99},
+        {119, 106, 1461, 1324, 4066, 3970, 38},
+        {2927, 2898, 3189, 3028, 66626, 67450, 2935}}},
+      {16, StructureKind::kRPlus,
+       {392,
+        {85, 80, 94, 105, 263, 274, 89},
+        {119, 106, 1205, 1297, 3810, 3943, 38},
+        {2564, 2527, 2888, 3027, 58342, 59833, 2789}}},
+      {16, StructureKind::kPmr,
+       {272,
+        {71, 61, 138, 157, 288, 313, 81},
+        {164, 145, 533, 570, 3969, 4030, 202},
+        {50, 50, 611, 565, 1727, 1693, 109}}},
+      {2, StructureKind::kRStar,
+       {14597,
+        {192, 191, 208, 201, 4394, 4461, 193},
+        {119, 106, 1461, 1324, 4066, 3970, 38},
+        {2927, 2898, 3189, 3028, 66626, 67450, 2935}}},
+      {2, StructureKind::kRPlus,
+       {10634,
+        {157, 154, 178, 187, 3616, 3661, 169},
+        {119, 106, 1205, 1297, 3810, 3943, 38},
+        {2564, 2527, 2888, 3027, 58342, 59833, 2789}}},
+      {2, StructureKind::kPmr,
+       {65267,
+        {305, 306, 3562, 3283, 10379, 10174, 657},
+        {164, 145, 533, 570, 3969, 4030, 202},
+        {50, 50, 611, 565, 1727, 1693, 109}}},
+  };
+  const PolygonalMap map = SmallCounty();
+  for (uint32_t frames : {16u, 2u}) {
+    ExperimentOptions opt = SmallExperiment();
+    opt.index.buffer_frames = frames;
+    Experiment exp(map, opt);
+    ASSERT_TRUE(exp.BuildAll().ok());
+    std::vector<QueryStats> stats;
+    ASSERT_TRUE(exp.RunAllQueries(&stats).ok());
+    const double n = opt.num_queries;
+    for (StructureKind kind : {StructureKind::kRStar, StructureKind::kRPlus,
+                               StructureKind::kPmr}) {
+      PaperCounts got;
+      for (const BuildStats& st : exp.build_stats()) {
+        if (st.kind == kind) got.build_disk_accesses = st.disk_accesses;
+      }
+      for (const QueryStats& qs : stats) {
+        if (qs.kind != kind) continue;
+        const size_t w = static_cast<size_t>(qs.workload);
+        got.disk_accesses[w] = std::llround(qs.disk_accesses * n);
+        got.segment_comps[w] = std::llround(qs.segment_comps * n);
+        got.bbox_bucket_comps[w] = std::llround(
+            (kind == StructureKind::kPmr ? qs.bucket_comps : qs.bbox_comps) *
+            n);
+      }
+      const PaperCounts* want = nullptr;
+      for (const Golden& g : kGolden) {
+        if (g.frames == frames && g.kind == kind) want = &g.counts;
+      }
+      if (want == nullptr) {
+        ADD_FAILURE() << StructureName(kind) << " at " << frames
+                      << " frames has no golden; actual:\n"
+                      << FormatCounts(got);
+        continue;
+      }
+      EXPECT_EQ(got, *want) << StructureName(kind) << " at " << frames
+                            << " frames; actual:\n"
+                            << FormatCounts(got);
+    }
   }
 }
 

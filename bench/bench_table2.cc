@@ -19,6 +19,7 @@
 #include "lsdb/introspect/profiler.h"
 #include "lsdb/introspect/xray.h"
 #include "lsdb/storage/buffer_pool.h"
+#include "lsdb/util/query_context.h"
 
 using namespace lsdb;        // NOLINT
 using namespace lsdb::bench; // NOLINT
@@ -139,7 +140,7 @@ int main(int argc, char** argv) {
     for (Workload w : kAllWorkloads) {
       introspect::QueryProfile profs[3];
       for (int i = 0; i < 3; ++i) {
-        introspect::ScopedQueryProfile scope(&profs[i]);
+        ScopedQueryContext scope({.profile = &profs[i]});
         QueryStats qs;
         st = exp.RunWorkload(kinds[i], w, &qs);
         if (!st.ok()) {

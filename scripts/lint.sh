@@ -6,8 +6,8 @@
 #      toolchain has no clang-tidy; the domain linter below still runs.
 #   2. tools/lsdb_lint — the always-on domain rules (ignored Status, page
 #      casts, assert-on-disk, counter mutation, determinism, raw mutexes,
-#      TLS redirect pairing, TSA escape justification). Builds with the
-#      standard library only, so this stage has no optional deps.
+#      query-context guard pairing, TSA escape justification). Builds
+#      with the standard library only, so this stage has no optional deps.
 #   3. clang++ -fsyntax-only -Wthread-safety -Werror over every library TU
 #      — the compile-time concurrency contract check (GUARDED_BY /
 #      REQUIRES / EXCLUDES annotations from util/thread_annotations.h).

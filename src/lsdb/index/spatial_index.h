@@ -150,8 +150,8 @@ class SpatialIndex {
   /// pool serializes page access under its mutex, and a zero-copy snapshot
   /// pool serves the immutable pages with no lock. The structure-owned
   /// MetricCounters have a single writer, so each concurrent caller must
-  /// install a ScopedCounterSink (util/counters.h); the query service
-  /// always does.
+  /// install its own counters in a QueryContext (util/query_context.h);
+  /// the query service always does.
   void Freeze() { frozen_ = true; }
   /// Thaw drops any scan cache: it is a view of the frozen tree and would
   /// go stale the moment mutations resume.

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "lsdb/util/counters.h"
+#include "lsdb/util/query_context.h"
 
 namespace lsdb {
 
@@ -17,7 +18,7 @@ Status FrozenNodeCache::Build(RNodeIO* io, PageId root) {
   // counters it generates into a scratch so the index-owned paper metrics
   // are untouched by cache construction.
   MetricCounters scratch;
-  ScopedCounterSink scoped(&scratch);
+  ScopedQueryContext scoped({.counters = &scratch});
 
   // Every page id must lie inside the file, and a (corrupt) cyclic tree must
   // terminate: the page file itself bounds how many distinct nodes exist.

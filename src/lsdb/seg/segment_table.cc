@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "lsdb/storage/superblock.h"
+#include "lsdb/util/query_context.h"
 
 namespace lsdb {
 
@@ -62,7 +63,7 @@ Status SegmentTable::BuildFlatCache() {
   // Redirect the decode walk's counters to a scratch so building the cache
   // never moves the paper's segment-comparison accounting.
   MetricCounters scratch;
-  ScopedCounterSink scoped(&scratch);
+  ScopedQueryContext scoped({.counters = &scratch});
   flat_.clear();
   flat_.reserve(count_);
   for (SegmentId id = 0; id < count_; ++id) {

@@ -47,9 +47,9 @@ class SegmentTable {
   [[nodiscard]] StatusOr<SegmentId> Append(const Segment& s);
 
   /// Fetches segment `id`. Counts one segment comparison. Safe from many
-  /// threads on a frozen table when each installs a ScopedCounterSink;
-  /// over a zero-copy pool (a snapshot-served table) the fetch takes no
-  /// lock.
+  /// threads on a frozen table when each installs its own counters in a
+  /// QueryContext (util/query_context.h); over a zero-copy pool (a
+  /// snapshot-served table) the fetch takes no lock.
   [[nodiscard]] Status Get(SegmentId id, Segment* out);
 
   /// Rematerializes every record into a flat in-memory array; subsequent

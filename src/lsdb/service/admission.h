@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -110,13 +109,13 @@ class AdmissionQueue {
   /// One admitted request in flight through the overload layer.
   struct Ticket {
     ServedIndex which = ServedIndex::kRStar;
+    /// The request; its `cancel` (the caller's token, if any) becomes the
+    /// parent of the query's own token when the ticket runs.
     QueryRequest request;
     std::function<void(QueryResponse)> done;
-    /// Owned per-query token: deadline armed at submit, optionally linked
-    /// to a caller token. unique_ptr because CancelToken is address-
-    /// stable (worker threads poll it through TLS while the ticket sits
-    /// in the queue).
-    std::unique_ptr<CancelToken> token;
+    /// Absolute deadline armed at submit (submit time + budget); none when
+    /// the request has no budget and there is no default.
+    std::optional<CancelToken::Clock::time_point> deadline;
     CancelToken::Clock::time_point enqueued{};
     /// The breaker already granted this request as a probe at submit;
     /// execution must not consume a second AllowRequest ticket.

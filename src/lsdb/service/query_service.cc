@@ -517,48 +517,15 @@ SpatialIndex* QueryService::index(ServedIndex which) {
   return nullptr;
 }
 
-QueryResponse QueryService::ExecuteOne(ServedIndex which, SpatialIndex* idx,
-                                       const QueryRequest& q,
-                                       bool breaker_preapproved) {
-  CircuitBreaker& breaker = breakers_[static_cast<size_t>(which)];
-  QueryResponse r;
-  // An admitted request that already consumed a half-open probe ticket at
-  // submit must not consume a second one here.
-  if (!breaker_preapproved && !breaker.AllowRequest()) {
-    r.status = Status::Unavailable(
-        std::string(ServedIndexName(which)) + " index degraded: breaker open");
-    return r;
-  }
-  switch (q.type) {
-    case QueryType::kPoint:
-      r.status = idx->PointQueryEx(q.point, &r.hits);
-      break;
-    case QueryType::kWindow:
-      r.status = idx->WindowQueryEx(q.window, &r.hits);
-      break;
-    case QueryType::kNearest: {
-      auto n = idx->Nearest(q.point);
-      if (n.ok()) r.nearest = *n;
-      r.status = n.status();
-      break;
-    }
-    case QueryType::kIncident:
-      r.status = IncidentSegments(idx, q.point, &r.hits);
-      break;
-  }
-  if (CircuitBreaker::IsFailure(r.status)) {
-    if (breaker.RecordFailure()) {
-      tracer_.EmitHealthEvent(ServedIndexName(which), "breaker_open");
-    }
-  } else if (CircuitBreaker::IsSuccess(r.status)) {
-    if (breaker.RecordSuccess()) {
-      tracer_.EmitHealthEvent(ServedIndexName(which), "breaker_closed");
-    }
-  }
-  return r;
+namespace {
+using Clock = CancelToken::Clock;
+
+uint64_t NanosSince(Clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
+          .count());
 }
 
-namespace {
 /// Cache-line-padded per-worker counters so concurrent increments on
 /// neighbouring workers do not false-share.
 struct alignas(64) PaddedCounters {
@@ -577,6 +544,111 @@ uint64_t GroupedWindowKey(const QueryRequest& q) {
 }
 }  // namespace
 
+Status QueryService::BreakerGate(ServedIndex which) {
+  if (breakers_[static_cast<size_t>(which)].AllowRequest()) {
+    return Status::OK();
+  }
+  return Status::Unavailable(std::string(ServedIndexName(which)) +
+                             " index degraded: breaker open");
+}
+
+void QueryService::RecordBreakerOutcome(ServedIndex which,
+                                        const Status& status) {
+  CircuitBreaker& breaker = breakers_[static_cast<size_t>(which)];
+  if (CircuitBreaker::IsFailure(status)) {
+    if (breaker.RecordFailure()) {
+      tracer_.EmitHealthEvent(ServedIndexName(which), "breaker_open");
+    }
+  } else if (CircuitBreaker::IsSuccess(status)) {
+    if (breaker.RecordSuccess()) {
+      tracer_.EmitHealthEvent(ServedIndexName(which), "breaker_closed");
+    }
+  }
+}
+
+QueryResponse QueryService::RunQuery(ServedIndex which, const QueryRequest& q,
+                                     const AdmissionQueue::Ticket* admitted,
+                                     QueryRecord* rec) {
+  // A request with neither a deadline nor a caller token leaves the
+  // context's token null, so the descent checkpoints stay on their
+  // one-load untaken-branch path and paper metrics are byte-identical.
+  CancelToken token;
+  if (admitted != nullptr) {
+    if (admitted->deadline) token.ArmDeadline(*admitted->deadline);
+  } else if (q.deadline_ns > 0) {
+    token.ArmBudget(q.deadline_ns);
+  }
+  token.LinkParent(q.cancel);
+  const bool armed = token.has_deadline() || q.cancel != nullptr;
+  QueryResponse r;
+  // An admitted query's budget started at submit: one that ran out in the
+  // queue, or whose caller gave up meanwhile, costs no descent.
+  if (admitted != nullptr && armed) {
+    r.status = token.StatusNow();
+    if (!r.status.ok()) return r;
+  }
+  // A brownout probe already took its breaker ticket at submit.
+  if (admitted == nullptr || !admitted->breaker_preapproved) {
+    r.status = BreakerGate(which);
+    if (!r.status.ok()) return r;
+  }
+  SpatialIndex* idx = index(which);
+  {
+    ScopedQueryContext scope({.counters = &rec->counters,
+                              .profile = rec->profile ? &*rec->profile
+                                                      : nullptr,
+                              .cancel = armed ? &token : nullptr});
+    switch (q.type) {
+      case QueryType::kPoint:
+        r.status = idx->PointQueryEx(q.point, &r.hits);
+        break;
+      case QueryType::kWindow:
+        r.status = idx->WindowQueryEx(q.window, &r.hits);
+        break;
+      case QueryType::kNearest: {
+        auto n = idx->Nearest(q.point);
+        if (n.ok()) r.nearest = *n;
+        r.status = n.status();
+        break;
+      }
+      case QueryType::kIncident:
+        r.status = IncidentSegments(idx, q.point, &r.hits);
+        break;
+    }
+  }
+  RecordBreakerOutcome(which, r.status);
+  return r;
+}
+
+void QueryService::Observe(uint32_t worker, ServedIndex which, QueryType type,
+                           uint64_t latency_ns, const QueryRecord& rec) {
+  histogram(which, type)->Record(worker, latency_ns);
+  if (rec.profile) {
+    profiles_[static_cast<size_t>(which)][static_cast<size_t>(type)]->Record(
+        worker, *rec.profile);
+  }
+  if (!tracer_.enabled()) return;
+  QuerySpan span;
+  span.query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
+  span.kind = QueryTypeName(type);
+  span.structure = ServedIndexName(which);
+  span.latency_ns = latency_ns;
+  span.disk_reads = rec.counters.disk_reads;
+  span.segment_comps = rec.counters.segment_comps;
+  span.bbox_comps = rec.counters.bbox_comps;
+  span.bucket_comps = rec.counters.bucket_comps;
+  span.worker = worker;
+  if (rec.profile) {
+    span.has_introspect = true;
+    span.nodes_visited = rec.profile->nodes_visited;
+    span.nodes_pruned = rec.profile->entries_pruned();
+    span.false_leaf_reads = rec.profile->false_leaf_reads;
+    span.false_bucket_reads = rec.profile->false_bucket_reads;
+    span.max_depth = rec.profile->max_depth;
+  }
+  tracer_.EmitQuerySpan(span);
+}
+
 StatusOr<BatchResult> QueryService::ExecuteBatch(
     ServedIndex which, const std::vector<QueryRequest>& batch) {
   SpatialIndex* idx = index(which);
@@ -584,71 +656,19 @@ StatusOr<BatchResult> QueryService::ExecuteBatch(
   BatchResult out;
   out.responses.resize(batch.size());
   std::vector<PaddedCounters> locals(workers_->size());
-  const uint64_t id_base = next_query_id_.fetch_add(
-      batch.size(), std::memory_order_relaxed);
-  const auto run_one = [&](uint32_t worker, uint64_t i) {
-        ScopedCounterSink sink(&locals[worker].c);
-        // Per-query descent profile, installed only when introspection is
-        // on (null install keeps the descent hooks on their one-branch
-        // disabled path). The toggle is re-read per query, so a live flip
-        // takes effect at the next query boundary.
-        const bool prof_on =
-            introspect_on_.load(std::memory_order_relaxed);
-        introspect::QueryProfile prof;
-        introspect::ScopedQueryProfile prof_scope(prof_on ? &prof : nullptr);
-        // Per-query deadline/cancel scope. Requests carrying neither leave
-        // the thread-local token null, so the descent checkpoints stay on
-        // their one-load untaken-branch path and paper metrics are
-        // byte-identical.
-        CancelToken token;
-        const bool tok_on =
-            batch[i].deadline_ns > 0 || batch[i].cancel != nullptr;
-        if (tok_on) {
-          if (batch[i].deadline_ns > 0) token.ArmBudget(batch[i].deadline_ns);
-          token.LinkParent(batch[i].cancel);
-        }
-        ScopedCancelScope cancel_scope(tok_on ? &token : nullptr);
-        // Snapshot the worker-private counters around the query so its
-        // exact metric deltas can be attributed to the span.
-        const MetricCounters before = locals[worker].c;
-        const auto t0 = std::chrono::steady_clock::now();
-        out.responses[i] = ExecuteOne(which, idx, batch[i]);
-        const auto t1 = std::chrono::steady_clock::now();
-        const uint64_t ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count());
-        out.responses[i].latency_ns = ns;
-        histogram(which, batch[i].type)->Record(worker, ns);
-        if (prof_on) {
-          profiles_[static_cast<size_t>(which)]
-                   [static_cast<size_t>(batch[i].type)]
-                       ->Record(worker, prof);
-        }
-        if (tracer_.enabled()) {
-          const MetricCounters d = locals[worker].c - before;
-          QuerySpan span;
-          span.query_id = id_base + i;
-          span.kind = QueryTypeName(batch[i].type);
-          span.structure = ServedIndexName(which);
-          span.latency_ns = ns;
-          span.disk_reads = d.disk_reads;
-          span.segment_comps = d.segment_comps;
-          span.bbox_comps = d.bbox_comps;
-          span.bucket_comps = d.bucket_comps;
-          span.worker = worker;
-          if (prof_on) {
-            span.has_introspect = true;
-            span.nodes_visited = prof.nodes_visited;
-            span.nodes_pruned = prof.entries_pruned();
-            span.false_leaf_reads = prof.false_leaf_reads;
-            span.false_bucket_reads = prof.false_bucket_reads;
-            span.max_depth = prof.max_depth;
-          }
-          tracer_.EmitQuerySpan(span);
-        }
+  const auto serve = [&](uint32_t worker, uint64_t i) {
+    // The introspection toggle is re-read per query, so a live flip takes
+    // effect at the next query boundary.
+    QueryRecord rec(introspection());
+    const Clock::time_point t0 = Clock::now();
+    QueryResponse& r = out.responses[i];
+    r = RunQuery(which, batch[i], nullptr, &rec);
+    r.latency_ns = NanosSince(t0);
+    locals[worker].c += rec.counters;
+    Observe(worker, which, batch[i].type, r.latency_ns, rec);
   };
   if (!options_.throughput_mode) {
-    workers_->ParallelFor(batch.size(), run_one);
+    workers_->ParallelFor(batch.size(), serve);
   } else {
     // -- Throughput mode ----------------------------------------------------
     // Window and point queries without deadline/cancel tokens are grouped
@@ -676,9 +696,8 @@ StatusOr<BatchResult> QueryService::ExecuteBatch(
     if (!grouped.empty()) {
       const uint32_t nchunks = static_cast<uint32_t>(
           std::min<size_t>(workers_->size(), grouped.size()));
-      CircuitBreaker& breaker = breakers_[static_cast<size_t>(which)];
       workers_->ParallelFor(nchunks, [&](uint32_t worker, uint64_t c) {
-        ScopedCounterSink sink(&locals[worker].c);
+        ScopedQueryContext scope({.counters = &locals[worker].c});
         const size_t begin = grouped.size() * c / nchunks;
         const size_t end = grouped.size() * (c + 1) / nchunks;
         std::vector<Rect> ws;
@@ -687,30 +706,21 @@ StatusOr<BatchResult> QueryService::ExecuteBatch(
         ids.reserve(end - begin);
         for (size_t k = begin; k < end; ++k) {
           const uint32_t i = grouped[k];
-          // One breaker ticket per request, exactly as ExecuteOne takes.
-          if (!breaker.AllowRequest()) {
-            out.responses[i].status = Status::Unavailable(
-                std::string(ServedIndexName(which)) +
-                " index degraded: breaker open");
-            continue;
-          }
+          // One breaker ticket per request, exactly as RunQuery takes.
+          out.responses[i].status = BreakerGate(which);
+          if (!out.responses[i].status.ok()) continue;
           ids.push_back(i);
           ws.push_back(batch[i].type == QueryType::kWindow
                            ? batch[i].window
                            : Rect::AtPoint(batch[i].point));
         }
         if (ids.empty()) return;
-        const auto t0 = std::chrono::steady_clock::now();
+        const Clock::time_point t0 = Clock::now();
         std::vector<std::vector<SegmentHit>> hits;
         const Status s = idx->WindowQueryBatch(ws, &hits);
-        const auto t1 = std::chrono::steady_clock::now();
         // The group executed as one descent; attribute the amortized share
         // to each request (documented in DESIGN.md §15).
-        const uint64_t ns =
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count()) /
-            ids.size();
+        const uint64_t ns = NanosSince(t0) / ids.size();
         for (size_t k = 0; k < ids.size(); ++k) {
           const uint32_t i = ids[k];
           QueryResponse& r = out.responses[i];
@@ -718,22 +728,13 @@ StatusOr<BatchResult> QueryService::ExecuteBatch(
           if (s.ok()) r.hits = std::move(hits[k]);
           r.latency_ns = ns;
           histogram(which, batch[i].type)->Record(worker, ns);
-          if (CircuitBreaker::IsFailure(s)) {
-            if (breaker.RecordFailure()) {
-              tracer_.EmitHealthEvent(ServedIndexName(which), "breaker_open");
-            }
-          } else if (CircuitBreaker::IsSuccess(s)) {
-            if (breaker.RecordSuccess()) {
-              tracer_.EmitHealthEvent(ServedIndexName(which),
-                                      "breaker_closed");
-            }
-          }
+          RecordBreakerOutcome(which, s);
         }
       });
     }
     if (!solo.empty()) {
       workers_->ParallelFor(solo.size(), [&](uint32_t worker, uint64_t k) {
-        run_one(worker, solo[k]);
+        serve(worker, solo[k]);
       });
     }
   }
@@ -767,34 +768,18 @@ StatusOr<BatchResult> QueryService::ExecuteBatch(
 
 StatusOr<BatchResult> QueryService::ExecuteBatchSequential(
     ServedIndex which, const std::vector<QueryRequest>& batch) {
-  SpatialIndex* idx = index(which);
-  if (idx == nullptr) return Status::InvalidArgument("unknown index");
+  if (index(which) == nullptr) {
+    return Status::InvalidArgument("unknown index");
+  }
   BatchResult out;
   out.responses.resize(batch.size());
   out.per_worker.resize(1);
-  ScopedCounterSink sink(&out.per_worker[0]);
-  const bool prof_on = introspect_on_.load(std::memory_order_relaxed);
   for (size_t i = 0; i < batch.size(); ++i) {
-    introspect::QueryProfile prof;
-    introspect::ScopedQueryProfile prof_scope(prof_on ? &prof : nullptr);
-    CancelToken token;
-    const bool tok_on =
-        batch[i].deadline_ns > 0 || batch[i].cancel != nullptr;
-    if (tok_on) {
-      if (batch[i].deadline_ns > 0) token.ArmBudget(batch[i].deadline_ns);
-      token.LinkParent(batch[i].cancel);
-    }
-    ScopedCancelScope cancel_scope(tok_on ? &token : nullptr);
-    out.responses[i] = ExecuteOne(which, idx, batch[i]);
-    if (prof_on) {
-      // Shard 0: the sequential path never runs concurrently with itself,
-      // and the accumulator fields are relaxed atomics regardless.
-      profiles_[static_cast<size_t>(which)]
-               [static_cast<size_t>(batch[i].type)]
-                   ->Record(0, prof);
-    }
+    QueryRecord rec(/*profiled=*/false);
+    out.responses[i] = RunQuery(which, batch[i], nullptr, &rec);
+    out.per_worker[0] += rec.counters;
   }
-  out.metrics += out.per_worker[0];
+  out.metrics = out.per_worker[0];
   return out;
 }
 
@@ -845,13 +830,11 @@ void QueryService::SubmitQuery(ServedIndex which, const QueryRequest& q,
   t.which = which;
   t.request = q;
   t.done = std::move(done);
-  t.token = std::make_unique<CancelToken>();
+  t.enqueued = Clock::now();
   const uint64_t budget = q.deadline_ns > 0
                               ? q.deadline_ns
                               : options_.admission.default_deadline_ns;
-  if (budget > 0) t.token->ArmBudget(budget);
-  t.token->LinkParent(q.cancel);
-  t.enqueued = CancelToken::Clock::now();
+  if (budget > 0) t.deadline = t.enqueued + std::chrono::nanoseconds(budget);
   t.breaker_preapproved = preapproved;
   std::vector<AdmissionQueue::Shed> shed;
   const bool enqueued = admission_->Offer(std::move(t), &shed);
@@ -873,30 +856,12 @@ void QueryService::DispatchOne(uint32_t worker) {
   // Drained by Close() or shed by CoDel before this task ran: nothing to
   // execute (the ticket was completed elsewhere).
   if (!have) return;
-  SpatialIndex* idx = index(t.which);
-  QueryResponse r;
-  // Deadline check before touching the index: a ticket that burned its
-  // whole budget queueing times out here without costing a descent.
-  const Status pre = t.token->StatusNow();
-  if (!pre.ok()) {
-    r.status = pre;
-  } else {
-    // Thread-private sink: admitted queries must not mutate the frozen
-    // indexes' own counters. The per-dispatch deltas are discarded —
-    // admitted-path totals come from the registry counters below.
-    MetricCounters scratch;
-    ScopedCounterSink sink(&scratch);
-    ScopedCancelScope cancel_scope(t.token.get());
-    r = ExecuteOne(t.which, idx, t.request, t.breaker_preapproved);
-  }
+  QueryRecord rec(introspection());
+  QueryResponse r = RunQuery(t.which, t.request, &t, &rec);
   // Latency is submit-to-completion: queueing delay is the overload
   // signal, so it belongs in the admitted path's histograms.
-  const uint64_t ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          CancelToken::Clock::now() - t.enqueued)
-          .count());
-  r.latency_ns = ns;
-  histogram(t.which, t.request.type)->Record(worker, ns);
+  r.latency_ns = NanosSince(t.enqueued);
+  Observe(worker, t.which, t.request.type, r.latency_ns, rec);
   QueryCounter(t.which, t.request.type)->Add(1);
   if (tracer_.enabled()) {
     if (r.status.IsDeadlineExceeded()) {

@@ -10,10 +10,10 @@
 // Concurrency model: the build is single-threaded; serving is read-only.
 // Frozen indexes reject Insert/Erase; the thread-safe BufferPool serializes
 // page access on the copying path and takes no lock at all on the zero-copy
-// snapshot path; and every worker accumulates metrics into a thread-private
-// MetricCounters via ScopedCounterSink — the index-owned counters have a
-// single writer and are not touched while serving, and the sequential
-// paper harness is unaffected.
+// snapshot path; and every query runs under its own QueryContext
+// (util/query_context.h), whose private counters receive its metrics — the
+// index-owned counters have a single writer and are not touched while
+// serving, and the sequential paper harness is unaffected.
 //
 // The paper-replication numbers (Table 1 / Table 2) are still produced by
 // the sequential harness in lsdb/harness; this subsystem is the
@@ -26,6 +26,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,8 @@ class QueryService {
                                      const std::vector<QueryRequest>& batch);
 
   /// Ground-truth execution of `batch` on the calling thread, in order.
+  /// It records no latency, profile or trace span, so it shares no
+  /// worker's single-writer shard with a concurrent ExecuteBatch.
   [[nodiscard]] StatusOr<BatchResult> ExecuteBatchSequential(
       ServedIndex which, const std::vector<QueryRequest>& batch);
 
@@ -175,9 +178,10 @@ class QueryService {
 
   /// Convenience synchronous wrapper over SubmitQuery: submits the whole
   /// batch through admission and blocks until every response (executed or
-  /// shed) lands. Response i corresponds to request i. BatchResult metric
-  /// counters are NOT aggregated on this path (admitted queries run
-  /// against throwaway per-dispatch sinks); use stats() for totals.
+  /// shed) lands. Response i corresponds to request i. Metric counters are
+  /// NOT aggregated on this path: BatchResult carries none, and stats()
+  /// counts admitted queries only in lsdb_queries_total, with no paper
+  /// totals. Each query's own counters reach its trace span.
   [[nodiscard]] StatusOr<BatchResult> ExecuteBatchAdmitted(
       ServedIndex which, const std::vector<QueryRequest>& batch);
 
@@ -216,7 +220,7 @@ class QueryService {
   StatsRegistry& stats();
 
   /// Latency histogram for one structure x query kind, sharded per worker
-  /// and fed by ExecuteBatch. Merge() for percentiles.
+  /// and fed by ExecuteBatch and admitted queries. Merge() for percentiles.
   const LatencyHistogram& latency_histogram(ServedIndex which,
                                             QueryType type) const;
 
@@ -241,7 +245,7 @@ class QueryService {
 
   /// Merged query-path profile for one structure x query kind, aggregated
   /// since service start. Empty (queries == 0) unless introspection was on
-  /// while batches ran.
+  /// while ExecuteBatch or admitted queries ran.
   introspect::ProfileAccumulator::Summary profile_summary(
       ServedIndex which, QueryType type) const;
 
@@ -273,11 +277,34 @@ class QueryService {
   void ArmFaultInjectors();
   [[nodiscard]] Status SetUpObservability();
   void RefreshGauges();
-  QueryResponse ExecuteOne(ServedIndex which, SpatialIndex* idx,
-                           const QueryRequest& q,
-                           bool breaker_preapproved = false);
+  /// One query's own counters and, if introspection was on as it started,
+  /// its profile: RunQuery's context points at them, Observe reads them.
+  struct QueryRecord {
+    explicit QueryRecord(bool profiled) {
+      if (profiled) profile.emplace();
+    }
+    MetricCounters counters;
+    std::optional<introspect::QueryProfile> profile;
+  };
+  /// The query body of every path: arms a stack CancelToken (the
+  /// `admitted` ticket's deadline, else q.deadline_ns from now; parent
+  /// q.cancel), installs the context, takes a breaker ticket, runs the
+  /// query and records the breaker outcome. An admitted query whose budget
+  /// ran out in the queue, or whose caller cancelled, skips the descent; a
+  /// brownout probe already holds its breaker ticket.
+  QueryResponse RunQuery(ServedIndex which, const QueryRequest& q,
+                         const AdmissionQueue::Ticket* admitted,
+                         QueryRecord* rec);
+  /// Records one finished query: its latency and profile in `worker`'s
+  /// single-writer shards, and a trace span with the query's own counters.
+  void Observe(uint32_t worker, ServedIndex which, QueryType type,
+               uint64_t latency_ns, const QueryRecord& rec);
+  /// One breaker ticket: OK, or Unavailable while `which` is degraded.
+  Status BreakerGate(ServedIndex which);
+  /// Feeds a query's status to `which`'s breaker, tracing transitions.
+  void RecordBreakerOutcome(ServedIndex which, const Status& status);
   /// Worker-side body of the admission path: takes the next ticket,
-  /// completes CoDel sheds, runs the query under its cancel scope.
+  /// completes CoDel sheds, runs and observes the query.
   void DispatchOne(uint32_t worker);
   /// Completes a shed ticket with Unavailable (Cancelled for kShutdown)
   /// and settles its admission accounting.

@@ -77,8 +77,9 @@ struct QueryResponse {
   Status status;
   std::vector<SegmentHit> hits;  ///< kPoint / kWindow / kIncident.
   NearestResult nearest;         ///< kNearest (meaningful when status ok).
-  /// Wall time this query spent executing (observability only; filled by
-  /// ExecuteBatch, 0 from the sequential ground-truth path).
+  /// Observability only: execution wall time from ExecuteBatch,
+  /// submit-to-completion time from SubmitQuery, 0 from the sequential
+  /// ground-truth path.
   uint64_t latency_ns = 0;
 };
 

@@ -287,8 +287,8 @@ StatusOr<BufferPool::PageRef> BufferPool::FetchZeroCopy(PageId id) {
   // one first touch per page. Counting mirrors the copying path — every
   // fetch is a page_fetch; the page's first touch (when it is
   // checksum-verified and genuinely faulted in) is the miss / disk_read,
-  // later touches are hits. Metric increments go to the caller's
-  // ScopedCounterSink when one is installed (see the file comment).
+  // later touches are hits. Metric increments go to the counters of the
+  // caller's QueryContext when it has some (see the file comment).
   if (introspect::PageHeatMap* heat = heat_.load(std::memory_order_acquire)) {
     heat->Touch(id);
   }

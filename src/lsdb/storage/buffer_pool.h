@@ -32,9 +32,9 @@
 //    attachments (retry policy, tracer, heat map) are atomics.
 //
 // Metric counters: the MetricCounters passed at construction have a single
-// writer. Threads that fetch concurrently must each install a
-// ScopedCounterSink (util/counters.h) so their increments land in private
-// counters; the query service always does.
+// writer. Threads that fetch concurrently must each install their own
+// counters in a QueryContext (util/query_context.h) so their increments
+// land in private counters; the query service always does.
 
 #ifndef LSDB_STORAGE_BUFFER_POOL_H_
 #define LSDB_STORAGE_BUFFER_POOL_H_

@@ -8,19 +8,21 @@
 //
 // Counters stay plain (non-atomic): the paper harness is single-threaded,
 // matching the original study. Concurrent serving (lsdb/service) instead
-// installs a ScopedCounterSink per worker thread, which redirects every
-// increment made by that thread into a thread-private MetricCounters that
-// the service merges after the batch. With no sink installed, increments go
-// to the structure-owned counters exactly as before. Those counters have a
-// single writer: any caller that runs queries on one structure from several
-// threads must install a sink on each (nothing else serializes them — the
-// zero-copy page path takes no lock).
+// gives each query a QueryContext (util/query_context.h) whose `counters`
+// receive every increment its thread makes; the service merges them after
+// the query. With no counters installed, increments go to the
+// structure-owned counters exactly as before. Those counters have a single
+// writer: any caller that runs queries on one structure from several
+// threads must install counters on each (nothing else serializes them —
+// the zero-copy page path takes no lock).
 
 #ifndef LSDB_UTIL_COUNTERS_H_
 #define LSDB_UTIL_COUNTERS_H_
 
 #include <cstdint>
 #include <string>
+
+#include "lsdb/util/query_context.h"
 
 namespace lsdb {
 
@@ -45,17 +47,11 @@ struct MetricCounters {
   std::string ToString() const;
 };
 
-namespace internal {
-/// Active per-thread redirect target (null = no redirect). Owned by
-/// ScopedCounterSink; never touch directly outside counters.h.
-inline thread_local MetricCounters* tls_counter_sink = nullptr;
-}  // namespace internal
-
-/// Resolves the counter target for the calling thread: the thread's active
-/// sink if a ScopedCounterSink is installed, else `fallback` (which may be
-/// null, meaning "drop the increment").
+/// Resolves the counter target for the calling thread: the counters of
+/// its installed QueryContext if any, else `fallback` (which may be null,
+/// meaning "drop the increment").
 inline MetricCounters* CounterSink(MetricCounters* fallback) {
-  MetricCounters* t = internal::tls_counter_sink;
+  MetricCounters* t = internal::tls_query_context.counters;
   return t != nullptr ? t : fallback;
 }
 
@@ -63,26 +59,6 @@ inline MetricCounters* CounterSink(MetricCounters* fallback) {
 inline MetricCounters& CounterSink(MetricCounters& fallback) {
   return *CounterSink(&fallback);
 }
-
-/// RAII redirect: while alive, every metric increment performed by the
-/// constructing thread — across all indexes, buffer pools, and segment
-/// tables it touches — is accumulated into `local` instead of the
-/// structure-owned counters. Scopes nest (the innermost wins) and must be
-/// destroyed on the thread that created them.
-class ScopedCounterSink {
- public:
-  explicit ScopedCounterSink(MetricCounters* local)
-      : prev_(internal::tls_counter_sink) {
-    internal::tls_counter_sink = local;
-  }
-  ~ScopedCounterSink() { internal::tls_counter_sink = prev_; }
-
-  ScopedCounterSink(const ScopedCounterSink&) = delete;
-  ScopedCounterSink& operator=(const ScopedCounterSink&) = delete;
-
- private:
-  MetricCounters* prev_;
-};
 
 }  // namespace lsdb
 

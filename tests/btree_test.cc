@@ -9,6 +9,7 @@
 
 #include "lsdb/btree/btree.h"
 #include "lsdb/introspect/profiler.h"
+#include "lsdb/util/query_context.h"
 #include "lsdb/util/random.h"
 
 namespace lsdb {
@@ -263,7 +264,7 @@ TEST(BTreeTest, ProbeVisitsEachLevelOnce) {
     introspect::QueryProfile prof;
     const uint64_t before = f.metrics.page_fetches;
     {
-      introspect::ScopedQueryProfile scope(&prof);
+      ScopedQueryContext scope({.profile = &prof});
       probe();
     }
     EXPECT_EQ(f.metrics.page_fetches - before, h) << what;

@@ -19,6 +19,7 @@
 #include "lsdb/introspect/profiler.h"
 #include "lsdb/introspect/xray.h"
 #include "lsdb/service/query_service.h"
+#include "lsdb/util/query_context.h"
 #include "lsdb/util/random.h"
 #include "lsdb/viz/svg.h"
 
@@ -28,7 +29,6 @@ namespace {
 using introspect::PageHeatMap;
 using introspect::ProfileAccumulator;
 using introspect::QueryProfile;
-using introspect::ScopedQueryProfile;
 
 PolygonalMap SmallMap(uint64_t seed = 11) {
   CountyProfile p;
@@ -72,7 +72,7 @@ std::vector<QueryRequest> MixedBatch(const PolygonalMap& map, size_t n,
 }
 
 // ---------------------------------------------------------------------------
-// QueryProfile + ScopedQueryProfile (thread-local plumbing)
+// QueryProfile hooks and their thread-local install
 
 TEST(IntrospectTest, ProfilingIsOffByDefaultAndHooksAreNoops) {
   EXPECT_EQ(introspect::ThreadProfile(), nullptr);
@@ -86,18 +86,18 @@ TEST(IntrospectTest, ProfilingIsOffByDefaultAndHooksAreNoops) {
 TEST(IntrospectTest, ScopedProfileInstallsNestsAndRestores) {
   QueryProfile outer, inner;
   {
-    ScopedQueryProfile s1(&outer);
+    ScopedQueryContext s1({.profile = &outer});
     EXPECT_EQ(introspect::ThreadProfile(), &outer);
     {
-      ScopedQueryProfile s2(&inner);
+      ScopedQueryContext s2({.profile = &inner});
       EXPECT_EQ(introspect::ThreadProfile(), &inner);
       LSDB_INTROSPECT(OnNode(0, false, 4, 2, 0));
     }
     EXPECT_EQ(introspect::ThreadProfile(), &outer);
     {
-      // A null scope forces profiling OFF even inside an active scope —
+      // A null profile forces profiling OFF even inside an active scope —
       // the service uses this to honor a live toggle per query.
-      ScopedQueryProfile s3(nullptr);
+      ScopedQueryContext s3({.profile = nullptr});
       EXPECT_EQ(introspect::ThreadProfile(), nullptr);
       LSDB_INTROSPECT(OnNode(0, false, 100, 100, 0));
     }

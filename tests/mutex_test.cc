@@ -1,6 +1,6 @@
 // Tests for the concurrency-contract layer: the lock-order verifier
-// behind lsdb::Mutex, the CondVar held-stack bookkeeping, the TLS
-// redirect guards' nesting discipline, and live CircuitBreaker
+// behind lsdb::Mutex, the CondVar held-stack bookkeeping, the query
+// context guard's nesting discipline, and live CircuitBreaker
 // reconfiguration.
 //
 // The LockRegistry tests drive the registry with synthetic ids (and, for
@@ -23,6 +23,7 @@
 #include "lsdb/service/circuit_breaker.h"
 #include "lsdb/util/counters.h"
 #include "lsdb/util/mutex.h"
+#include "lsdb/util/query_context.h"
 
 // TSan ships its own lock-order-inversion detector, which (correctly)
 // flags the tests that invert REAL mutexes on purpose. Those tests skip
@@ -257,10 +258,117 @@ TEST(LockRegistryTest, TryLockFeedsOrderGraph) {
 
 #endif  // LSDB_LOCK_DEBUG
 
-// The three TLS redirect guards save their thread's previous slot value
-// and restore it on destruction; nested scopes must restore the *outer
-// redirect*, not null. These pins back the lsdb-tls-redirect-pairing
-// lint rule with runtime evidence.
+// ScopedQueryContext saves its thread's previous context and restores it
+// on destruction; nested scopes must restore the *outer* context, not an
+// empty one. These pins back the lsdb-tls-redirect-pairing lint rule with
+// runtime evidence.
+
+/// One descent checkpoint, as an index runs it.
+Status Checkpoint() {
+  LSDB_RETURN_IF_CANCELLED();
+  return Status::OK();
+}
+
+TEST(QueryContextTest, InnerContextReplacesOuterWholesaleAndRestoresIt) {
+  MetricCounters fallback, outer_counters, inner_counters;
+  introspect::QueryProfile outer_profile, inner_profile;
+  CancelToken outer_token, inner_token;
+  const auto expect_none = [&] {
+    EXPECT_EQ(CounterSink(&fallback), &fallback);
+    EXPECT_EQ(introspect::ThreadProfile(), nullptr);
+    EXPECT_EQ(ThreadCancelToken(), nullptr);
+  };
+  const auto expect_outer = [&] {
+    EXPECT_EQ(CounterSink(&fallback), &outer_counters);
+    EXPECT_EQ(introspect::ThreadProfile(), &outer_profile);
+    EXPECT_EQ(ThreadCancelToken(), &outer_token);
+  };
+  expect_none();
+  // With no context installed the hooks are safe no-ops.
+  LSDB_INTROSPECT(OnNode(0, true, 10, 5, 1));
+  EXPECT_TRUE(Checkpoint().ok());
+  {
+    ScopedQueryContext outer({&outer_counters, &outer_profile, &outer_token});
+    expect_outer();
+    {
+      ScopedQueryContext inner(
+          {&inner_counters, &inner_profile, &inner_token});
+      EXPECT_EQ(CounterSink(&fallback), &inner_counters);
+      EXPECT_EQ(introspect::ThreadProfile(), &inner_profile);
+      EXPECT_EQ(ThreadCancelToken(), &inner_token);
+      LSDB_INTROSPECT(OnNode(0, false, 4, 2, 0));
+    }
+    expect_outer();
+    {
+      // A target the inner context leaves null is off inside it, even
+      // though the outer context set it: profiling, checkpoints and the
+      // counter redirect all fall back to their disabled path. The
+      // service relies on this to honor a live introspection toggle.
+      ScopedQueryContext off(QueryContext{});
+      expect_none();
+      LSDB_INTROSPECT(OnNode(0, false, 100, 100, 0));
+      outer_token.Cancel();
+      EXPECT_TRUE(Checkpoint().ok());
+    }
+    expect_outer();
+    EXPECT_TRUE(Checkpoint().IsCancelled());
+    LSDB_INTROSPECT(OnNode(1, true, 8, 3, 2));
+  }
+  expect_none();
+  EXPECT_EQ(inner_profile.nodes_visited, 1u);
+  EXPECT_EQ(inner_profile.entries_scanned, 4u);
+  // The off window recorded nowhere.
+  EXPECT_EQ(outer_profile.nodes_visited, 1u);
+  EXPECT_EQ(outer_profile.entries_scanned, 8u);
+  EXPECT_EQ(outer_profile.results, 2u);
+}
+
+TEST(QueryContextTest, NullCountersExposeTheStructureOwnedFallback) {
+  // The paper harness's introspection re-run installs a profile and no
+  // counters: increments must keep landing on the structure's own
+  // counters, and a null fallback keeps dropping them.
+  MetricCounters fallback, outer;
+  introspect::QueryProfile profile;
+  {
+    ScopedQueryContext with_counters({.counters = &outer});
+    EXPECT_EQ(CounterSink(&fallback), &outer);
+    {
+      ScopedQueryContext profile_only({.profile = &profile});
+      EXPECT_EQ(introspect::ThreadProfile(), &profile);
+      EXPECT_EQ(CounterSink(&fallback), &fallback);
+      EXPECT_EQ(&CounterSink(fallback), &fallback);
+      EXPECT_EQ(CounterSink(nullptr), nullptr);
+    }
+    // Unwinding the profile-only context restores the outer counters.
+    EXPECT_EQ(CounterSink(&fallback), &outer);
+    EXPECT_EQ(introspect::ThreadProfile(), nullptr);
+  }
+  EXPECT_EQ(CounterSink(&fallback), &fallback);
+}
+
+TEST(QueryContextTest, ContextIsInvisibleOnAnotherThread) {
+  MetricCounters fallback, redirected;
+  introspect::QueryProfile profile;
+  CancelToken token;
+  ScopedQueryContext scope({&redirected, &profile, &token});
+  ASSERT_EQ(CounterSink(&fallback), &redirected);
+  MetricCounters* seen_counters = &redirected;
+  introspect::QueryProfile* seen_profile = &profile;
+  CancelToken* seen_token = &token;
+  std::thread other([&]() {
+    seen_counters = CounterSink(&fallback);
+    seen_profile = introspect::ThreadProfile();
+    seen_token = ThreadCancelToken();
+  });
+  other.join();
+  EXPECT_EQ(seen_counters, &fallback);
+  EXPECT_EQ(seen_profile, nullptr);
+  EXPECT_EQ(seen_token, nullptr);
+}
+
+// Each target also nests on its own: a context that sets only one of them
+// restores the enclosing one on exit, and a null target re-exposes the
+// disabled path inside it.
 
 TEST(TlsRedirectGuardTest, CounterSinkNestingRestoresPrevious) {
   MetricCounters fallback;
@@ -268,17 +376,17 @@ TEST(TlsRedirectGuardTest, CounterSinkNestingRestoresPrevious) {
   MetricCounters inner;
   EXPECT_EQ(CounterSink(&fallback), &fallback);
   {
-    ScopedCounterSink s1(&outer);
+    ScopedQueryContext s1({.counters = &outer});
     EXPECT_EQ(CounterSink(&fallback), &outer);
     {
-      ScopedCounterSink s2(&inner);
+      ScopedQueryContext s2({.counters = &inner});
       EXPECT_EQ(CounterSink(&fallback), &inner);
     }
     // The inner scope must restore the outer redirect, not null.
     EXPECT_EQ(CounterSink(&fallback), &outer);
     {
       // A null redirect re-exposes the fallback...
-      ScopedCounterSink s3(nullptr);
+      ScopedQueryContext s3({.counters = nullptr});
       EXPECT_EQ(CounterSink(&fallback), &fallback);
     }
     // ...and unwinding it still restores the outer redirect.
@@ -292,10 +400,10 @@ TEST(TlsRedirectGuardTest, QueryProfileNestingRestoresPrevious) {
   introspect::QueryProfile inner;
   EXPECT_EQ(introspect::ThreadProfile(), nullptr);
   {
-    introspect::ScopedQueryProfile s1(&outer);
+    ScopedQueryContext s1({.profile = &outer});
     EXPECT_EQ(introspect::ThreadProfile(), &outer);
     {
-      introspect::ScopedQueryProfile s2(&inner);
+      ScopedQueryContext s2({.profile = &inner});
       EXPECT_EQ(introspect::ThreadProfile(), &inner);
     }
     EXPECT_EQ(introspect::ThreadProfile(), &outer);
@@ -308,27 +416,15 @@ TEST(TlsRedirectGuardTest, CancelScopeNestingRestoresPrevious) {
   CancelToken inner;
   EXPECT_EQ(ThreadCancelToken(), nullptr);
   {
-    ScopedCancelScope s1(&outer);
+    ScopedQueryContext s1({.cancel = &outer});
     EXPECT_EQ(ThreadCancelToken(), &outer);
     {
-      ScopedCancelScope s2(&inner);
+      ScopedQueryContext s2({.cancel = &inner});
       EXPECT_EQ(ThreadCancelToken(), &inner);
     }
     EXPECT_EQ(ThreadCancelToken(), &outer);
   }
   EXPECT_EQ(ThreadCancelToken(), nullptr);
-}
-
-TEST(TlsRedirectGuardTest, GuardsAreThreadLocal) {
-  // A redirect installed on one thread must be invisible on another.
-  MetricCounters fallback;
-  MetricCounters redirected;
-  ScopedCounterSink sink(&redirected);
-  ASSERT_EQ(CounterSink(&fallback), &redirected);
-  MetricCounters* seen = nullptr;
-  std::thread other([&]() { seen = CounterSink(&fallback); });
-  other.join();
-  EXPECT_EQ(seen, &fallback);
 }
 
 // Pins the fix for the CircuitBreaker reconfiguration race: options()

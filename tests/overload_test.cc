@@ -25,6 +25,7 @@
 #include "lsdb/service/worker_pool.h"
 #include "lsdb/storage/buffer_pool.h"
 #include "lsdb/storage/page_file.h"
+#include "lsdb/util/query_context.h"
 #include "lsdb/util/random.h"
 
 namespace lsdb {
@@ -121,13 +122,13 @@ TEST(CancelTokenTest, ScopedCancelScopeInstallsAndRestoresNested) {
   EXPECT_EQ(ThreadCancelToken(), nullptr);
   CancelToken outer, inner;
   {
-    ScopedCancelScope a(&outer);
+    ScopedQueryContext a({.cancel = &outer});
     EXPECT_EQ(ThreadCancelToken(), &outer);
     {
-      ScopedCancelScope b(&inner);
+      ScopedQueryContext b({.cancel = &inner});
       EXPECT_EQ(ThreadCancelToken(), &inner);
-      // A null scope disables checkpoints for a nested region.
-      ScopedCancelScope c(nullptr);
+      // A null token disables checkpoints for a nested region.
+      ScopedQueryContext c({.cancel = nullptr});
       EXPECT_EQ(ThreadCancelToken(), nullptr);
     }
     EXPECT_EQ(ThreadCancelToken(), &outer);
@@ -396,7 +397,7 @@ TEST(BufferPoolCancelTest, DeadlineExpiryDuringPinWaitUnblocksPromptly) {
   std::thread waiter([&] {
     CancelToken tok;
     tok.ArmBudget(50'000'000);  // 50 ms, far below kExhaustedWaitMs
-    ScopedCancelScope scope(&tok);
+    ScopedQueryContext scope({.cancel = &tok});
     const auto start = std::chrono::steady_clock::now();
     auto r = pool.Fetch(id1);
     elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -438,7 +439,7 @@ TEST(BufferPoolCancelTest, CrossThreadCancelUnparksPinWait) {
   CancelToken tok;  // no deadline: only the cancel flag can unpark it
   Status got = Status::OK();
   std::thread waiter([&] {
-    ScopedCancelScope scope(&tok);
+    ScopedQueryContext scope({.cancel = &tok});
     auto r = pool.Fetch(id1);
     got = r.ok() ? Status::OK() : r.status();
   });
@@ -461,6 +462,29 @@ class OverloadServiceTest : public ::testing::Test {
     auto svc = QueryService::Build(map_, opt);
     ASSERT_TRUE(svc.ok()) << svc.status().ToString();
     svc_ = std::move(*svc);
+  }
+
+  /// Runs `batch` through admission on every structure. Each response
+  /// must be DeadlineExceeded (`want_timeout`) or Cancelled, the admission
+  /// scoreboard must count every one of them, and no breaker may trip.
+  void ExpectAdmittedBatchUnwinds(const std::vector<QueryRequest>& batch,
+                                  bool want_timeout) {
+    uint64_t n = 0;
+    for (ServedIndex which : kAllServedIndexes) {
+      auto res = svc_->ExecuteBatchAdmitted(which, batch);
+      ASSERT_TRUE(res.ok());
+      ASSERT_EQ(res->responses.size(), batch.size());
+      for (const QueryResponse& r : res->responses) {
+        EXPECT_TRUE(want_timeout ? r.status.IsDeadlineExceeded()
+                                 : r.status.IsCancelled())
+            << ServedIndexName(which) << ": " << r.status.ToString();
+      }
+      n += batch.size();
+      const AdmissionStats s = svc_->admission_stats();
+      EXPECT_EQ(want_timeout ? s.timeouts : s.cancelled, n);
+      EXPECT_EQ(want_timeout ? s.cancelled : s.timeouts, 0u);
+      EXPECT_EQ(svc_->breaker(which).times_opened(), 0u);
+    }
   }
 
   PolygonalMap map_;
@@ -590,6 +614,57 @@ TEST_F(OverloadServiceTest, AdmittedBatchMatchesGroundTruthWhenUnloaded) {
   EXPECT_EQ(s.depth, 0u);
   EXPECT_EQ(s.timeouts, 0u);
   EXPECT_EQ(s.cancelled, 0u);
+}
+
+// An admitted query is observed like a batch query: one descent profile
+// while introspection is on, and one trace span.
+TEST_F(OverloadServiceTest, AdmittedQueriesAreProfiledAndTraced) {
+  ServiceOptions opt;
+  opt.num_threads = 2;
+  opt.admission.max_queue = 4096;
+  Build(opt);
+  std::ostringstream trace;
+  svc_->tracer().AttachStream(&trace);
+  svc_->set_introspection(true);
+  const auto batch = MixedBatch(map_, 256, 43);
+  auto res = svc_->ExecuteBatchAdmitted(ServedIndex::kRStar, batch);
+  ASSERT_TRUE(res.ok());
+  svc_->tracer().Close();
+
+  uint64_t profiled = 0;
+  for (QueryType type : kAllQueryTypes) {
+    profiled += svc_->profile_summary(ServedIndex::kRStar, type).queries;
+  }
+  EXPECT_EQ(profiled, batch.size());
+  size_t spans = 0;
+  std::istringstream lines(trace.str());
+  for (std::string line; std::getline(lines, line);) {
+    spans += line.find("\"event\":\"span\"") != std::string::npos;
+  }
+  EXPECT_EQ(spans, batch.size());
+}
+
+TEST_F(OverloadServiceTest, AdmittedRequestDeadlineTimesOutEveryQuery) {
+  Build(ServiceOptions{});
+  auto batch = FullWindows(24);
+  for (QueryRequest& q : batch) q.deadline_ns = 1;  // expires in the queue
+  ExpectAdmittedBatchUnwinds(batch, /*want_timeout=*/true);
+}
+
+TEST_F(OverloadServiceTest, AdmittedDefaultDeadlineTimesOutEveryQuery) {
+  ServiceOptions opt;
+  opt.admission.default_deadline_ns = 1;  // requests carry no deadline
+  Build(opt);
+  ExpectAdmittedBatchUnwinds(FullWindows(24), /*want_timeout=*/true);
+}
+
+TEST_F(OverloadServiceTest, AdmittedPreCancelledParentCancelsEveryQuery) {
+  Build(ServiceOptions{});
+  CancelToken tok;
+  tok.Cancel();
+  auto batch = FullWindows(24);
+  for (QueryRequest& q : batch) q.cancel = &tok;
+  ExpectAdmittedBatchUnwinds(batch, /*want_timeout=*/false);
 }
 
 TEST_F(OverloadServiceTest, SubmitQueryInvokesCallbackExactlyOnce) {

@@ -13,6 +13,7 @@
 #include "lsdb/storage/mmap_page_file.h"
 #include "lsdb/storage/page_file.h"
 #include "lsdb/util/crc32c.h"
+#include "lsdb/util/query_context.h"
 #include "lsdb/util/random.h"
 
 namespace lsdb {
@@ -510,7 +511,7 @@ TEST(PoolRetryCancelTest, ExpiredDeadlineStopsRetriesOnBothPaths) {
     faulty.set_plan(plan);
     CancelToken token;
     token.ArmBudget(300'000);  // 300 us: expires during the first backoff
-    ScopedCancelScope scope(&token);
+    ScopedQueryContext scope({.cancel = &token});
     auto ref = pool.Fetch(0);
     ASSERT_FALSE(ref.ok()) << path;
     EXPECT_TRUE(ref.status().IsDeadlineExceeded())

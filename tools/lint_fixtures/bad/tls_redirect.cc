@@ -1,31 +1,30 @@
 // lsdb-lint-pretend-path: src/lsdb/service/query_service.cc
-// Golden-bad fixture: TLS redirect guards held in non-scoped storage.
-// Each guard saves a thread_local slot in its constructor and restores
-// it in its destructor; anything that decouples destruction from block
-// scope (heap, static, containers) corrupts the LIFO save/restore chain
-// for every later frame on the thread.
+// Golden-bad fixture: the query context guard held in non-scoped storage.
+// The guard saves the thread_local query context in its constructor and
+// restores it in its destructor; anything that decouples destruction from
+// block scope (heap, static, containers) corrupts the LIFO save/restore
+// chain for every later frame on the thread.
 // Not compiled — scanned by lsdb_lint in the lint_fixture_* ctests.
 
 #include <memory>
 #include <vector>
 
-#include "lsdb/service/cancel.h"
-#include "lsdb/util/counters.h"
+#include "lsdb/util/query_context.h"
 
 namespace lsdb {
 
 struct BadHolder {
   // Heap storage: destructor order is whatever the owner decides.
-  std::unique_ptr<ScopedCounterSink> sink =
-      std::make_unique<ScopedCounterSink>(nullptr);
-  ScopedQueryProfile* profile = new ScopedQueryProfile(nullptr);
+  std::unique_ptr<ScopedQueryContext> scope =
+      std::make_unique<ScopedQueryContext>(QueryContext{});
+  ScopedQueryContext* raw = new ScopedQueryContext(QueryContext{});
 };
 
 void BadStatic() {
   // Static storage: restored at process exit, on some other thread.
-  static ScopedCancelScope scope(nullptr);
-  thread_local ScopedCounterSink sink(nullptr);
-  std::vector<ScopedQueryProfile> profiles;
+  static ScopedQueryContext scope(QueryContext{});
+  thread_local ScopedQueryContext per_thread(QueryContext{});
+  std::vector<ScopedQueryContext> scopes;
 }
 
 }  // namespace lsdb

@@ -1,12 +1,13 @@
 // lsdb-lint-pretend-path: src/lsdb/service/admission.cc
 // Golden-good fixture: the sanctioned concurrency spellings. Annotated
-// lsdb::Mutex with MutexLock, a block-scoped TLS redirect guard, and a
+// lsdb::Mutex with MutexLock, a block-scoped query context guard, and a
 // justified thread-safety-analysis escape. Must lint clean except for
 // the justified-escape count on stderr (which is not a finding).
 // Not compiled — scanned by lsdb_lint in the lint_fixture_* ctests.
 
 #include "lsdb/util/counters.h"
 #include "lsdb/util/mutex.h"
+#include "lsdb/util/query_context.h"
 #include "lsdb/util/thread_annotations.h"
 
 namespace lsdb {
@@ -29,7 +30,7 @@ class GoodQueue {
 
 void GoodRedirect(MetricCounters* local) {
   // Block-scoped stack object: destruction order mirrors scope order.
-  ScopedCounterSink sink(local);
+  ScopedQueryContext scope({.counters = local});
 }
 
 }  // namespace lsdb

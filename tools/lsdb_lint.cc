@@ -23,7 +23,7 @@
 //   lsdb-counter-mutation  MetricCounters fields may only be mutated
 //                          through CounterSink(...) (or inside
 //                          util/counters.*), keeping the paper metrics
-//                          redirectable per thread by ScopedCounterSink.
+//                          redirectable per query by a QueryContext.
 //   lsdb-determinism       no rand()/time()/wall-clock in src/lsdb outside
 //                          obs/ — paper experiments must replay bit-exact.
 //                          std::chrono::steady_clock (monotonic latency
@@ -69,10 +69,9 @@
 //                          feed the runtime lock-order verifier; a raw
 //                          primitive is invisible to both.
 //   lsdb-tls-redirect-pairing
-//                          the TLS redirect guards — ScopedCounterSink,
-//                          ScopedQueryProfile, ScopedCancelScope — may
-//                          only live as scoped stack objects. Heap- or
-//                          static-allocating one (new / make_unique /
+//                          the query context guard, ScopedQueryContext,
+//                          may only live as a scoped stack object. Heap-
+//                          or static-allocating one (new / make_unique /
 //                          static / thread_local) decouples restore from
 //                          scope exit: the TLS slot then dangles or leaks
 //                          across queries on the worker thread.
@@ -677,7 +676,7 @@ void CheckCounterMutation(const std::string& path,
               {path, i + 1, kRule,
                "direct mutation of MetricCounters field '" + field +
                    "'; route increments through CounterSink(...) so "
-                   "ScopedCounterSink can redirect them"});
+                   "a QueryContext can redirect them"});
           flagged = true;
         }
         pos = line.find(field, pos + 1);
@@ -819,7 +818,7 @@ void CheckHotCounterInDescent(const std::string& path,
   // Direct access to the thread-local profiling target. Descent TUs never
   // need it: the macro performs the load-and-test itself.
   static const std::vector<std::string> kTlsTokens = {
-      "ThreadProfile", "tls_query_profile",
+      "ThreadProfile", "tls_query_context",
   };
   // Paren depth inside an LSDB_INTROSPECT(...) argument list; hook names
   // on a wrapped continuation line are still guarded.
@@ -1108,19 +1107,18 @@ void CheckRawMutex(const std::string& path,
   }
 }
 
-// lsdb-tls-redirect-pairing: the TLS redirect guards (ScopedCounterSink,
-// ScopedQueryProfile, ScopedCancelScope) save a thread-local slot in their
-// constructor and restore it in their destructor, so correctness depends
-// on strict LIFO nesting on one thread. Heap or static storage decouples
-// destruction order from scope order and silently corrupts the redirect
-// chain for every later frame on the thread.
+// lsdb-tls-redirect-pairing: the query context guard (ScopedQueryContext)
+// saves the thread-local context in its constructor and restores it in
+// its destructor, so correctness depends on strict LIFO nesting on one
+// thread. Heap or static storage decouples destruction order from scope
+// order and silently corrupts the saved context for every later frame on
+// the thread.
 void CheckTlsRedirectPairing(const std::string& path,
                              const std::vector<std::string>& raw,
                              const std::vector<std::string>& stripped,
                              std::vector<Finding>* findings) {
   const std::string kRule = "lsdb-tls-redirect-pairing";
-  static const std::vector<std::string> kGuards = {
-      "ScopedCounterSink", "ScopedQueryProfile", "ScopedCancelScope"};
+  const std::string kGuard = "ScopedQueryContext";
   // Storage forms that break scope-paired destruction. The `<` forms catch
   // std::make_unique<Guard> / std::make_shared<Guard> / vector<Guard>.
   static const std::vector<std::string> kBadPrefixes = {
@@ -1129,32 +1127,30 @@ void CheckTlsRedirectPairing(const std::string& path,
   };
   for (size_t i = 0; i < stripped.size(); ++i) {
     const std::string& line = stripped[i];
-    for (const std::string& guard : kGuards) {
-      size_t pos = line.find(guard);
-      bool flagged = false;
-      while (pos != std::string::npos && !flagged) {
-        if (WordAt(line, pos, guard)) {
-          for (const std::string& prefix : kBadPrefixes) {
-            const size_t start = pos >= prefix.size() ? pos - prefix.size()
-                                                      : std::string::npos;
-            if (start != std::string::npos &&
-                line.compare(start, prefix.size(), prefix) == 0 &&
-                (start == 0 || !IsIdentChar(line[start - 1]))) {
-              if (!Suppressed(raw, i, kRule)) {
-                findings->push_back(
-                    {path, i + 1, kRule,
-                     guard + " redirects a thread-local slot and must be "
-                             "a block-scoped stack object; '" +
-                         Trim(prefix) + "' storage breaks the LIFO "
-                                        "save/restore pairing"});
-              }
-              flagged = true;  // one finding per line per guard
-              break;
+    size_t pos = line.find(kGuard);
+    bool flagged = false;
+    while (pos != std::string::npos && !flagged) {
+      if (WordAt(line, pos, kGuard)) {
+        for (const std::string& prefix : kBadPrefixes) {
+          const size_t start = pos >= prefix.size() ? pos - prefix.size()
+                                                    : std::string::npos;
+          if (start != std::string::npos &&
+              line.compare(start, prefix.size(), prefix) == 0 &&
+              (start == 0 || !IsIdentChar(line[start - 1]))) {
+            if (!Suppressed(raw, i, kRule)) {
+              findings->push_back(
+                  {path, i + 1, kRule,
+                   kGuard + " saves the thread-local query context and "
+                            "must be a block-scoped stack object; '" +
+                       Trim(prefix) + "' storage breaks the LIFO "
+                                      "save/restore pairing"});
             }
+            flagged = true;  // one finding per line
+            break;
           }
         }
-        pos = line.find(guard, pos + 1);
       }
+      pos = line.find(kGuard, pos + 1);
     }
   }
 }

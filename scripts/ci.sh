@@ -19,15 +19,19 @@
 #         retries, breaker trips, the snapshot round-trip and
 #         corrupt-snapshot suites (hostile *.lsnap files, snapshot
 #         serving under the fault injector), the concurrent
-#         robustness suite, the lock-free zero-copy snapshot suite
-#         (SnapshotConcurrencyTest), the cancelled-retry suite on both
-#         pool paths (PoolRetryCancelTest), and the B-tree and PMR suites,
-#         whose reads index raw page bytes in place (BTreeCorruptionTest
-#         feeds them hostile pages with valid checksums) — which must
-#         report zero memory errors even while pages are corrupted, reads
-#         fail, and workers race on first touches. Test selection lives
-#         in tests/CMakeLists.txt as labels, not in hard-coded filter
-#         lists here.
+#         robustness suite, the lock-free zero-copy suites over a mapped
+#         snapshot and over a built service's lent in-memory pages
+#         (SnapshotConcurrencyTest, BuiltServiceConcurrencyTest), the
+#         frozen-pool storage suites (FrozenPoolTest, FrozenPoolLruTest:
+#         a read through a freed MemPageFile page is something only ASan
+#         reports), the cancelled-retry suite on both pool paths
+#         (PoolRetryCancelTest), and the B-tree and PMR suites, whose
+#         reads index raw page bytes in place (BTreeCorruptionTest feeds
+#         them hostile pages with valid checksums) — which must report
+#         zero memory errors even while pages are corrupted, reads fail,
+#         and workers race on first touches. Test selection lives in
+#         tests/CMakeLists.txt as labels, not in hard-coded filter lists
+#         here.
 # Tier 2c: rebuild with UndefinedBehaviorSanitizer (-DLSDB_SAN=undefined,
 #         which also enables the float checks GCC leaves out of the
 #         default group and compiles every hit as non-recoverable) and

@@ -1,6 +1,34 @@
 #include "lsdb/index/spatial_index.h"
 
+#include "lsdb/storage/buffer_pool.h"
+
 namespace lsdb {
+
+Status SpatialIndex::Freeze() {
+  if (frozen_) return Status::OK();
+  if (BufferPool* pool = mutable_pool()) {
+    if (!pool->read_only()) LSDB_RETURN_IF_ERROR(Flush());
+    LSDB_RETURN_IF_ERROR(pool->Freeze());
+  }
+  frozen_ = true;
+  return Status::OK();
+}
+
+void SpatialIndex::Thaw() {
+  DropScanCache();
+  if (BufferPool* pool = mutable_pool()) pool->Thaw();
+  frozen_ = false;
+}
+
+Status SpatialIndex::CheckMutable() const {
+  if (frozen_) {
+    return Status::InvalidArgument("index is frozen for serving");
+  }
+  if (const BufferPool* p = pool(); p != nullptr && p->read_only()) {
+    return Status::InvalidArgument("index is served from a read-only file");
+  }
+  return Status::OK();
+}
 
 Status SpatialIndex::WindowQuery(const Rect& w,
                                  std::vector<SegmentId>* out) {

@@ -143,32 +143,33 @@ class SpatialIndex {
   /// Validates internal invariants (tests only).
   [[nodiscard]] virtual Status CheckInvariants() { return Status::OK(); }
 
-  /// Read-only serving mode. After Freeze(), Insert/Erase fail with
-  /// FailedPrecondition-style InvalidArgument until Thaw(). Queries on a
-  /// frozen index mutate no structural state, so any number of threads may
-  /// run WindowQueryEx/PointQueryEx/Nearest concurrently: a copying buffer
-  /// pool serializes page access under its mutex, and a zero-copy snapshot
-  /// pool serves the immutable pages with no lock. The structure-owned
+  /// Read-only serving mode. Freeze() persists a writable structure
+  /// (Flush(): superblock and dirty pages) and freezes its buffer pool,
+  /// which then refuses writes and, over an in-memory backend, serves the
+  /// backend's own pages with no copy and no lock, like a zero-copy
+  /// snapshot (see storage/buffer_pool.h). Until Thaw(), Insert/Erase fail
+  /// with FailedPrecondition-style InvalidArgument. Queries on a frozen
+  /// index mutate no structural state, so any number of threads may run
+  /// WindowQueryEx/PointQueryEx/Nearest concurrently: a pool that copies
+  /// (on-disk or pool-copy snapshot backends) serializes page access under
+  /// its mutex, and a zero-copy pool takes no lock. The structure-owned
   /// MetricCounters have a single writer, so each concurrent caller must
   /// install its own counters in a QueryContext (util/query_context.h);
-  /// the query service always does.
-  void Freeze() { frozen_ = true; }
-  /// Thaw drops any scan cache: it is a view of the frozen tree and would
-  /// go stale the moment mutations resume.
-  void Thaw() {
-    DropScanCache();
-    frozen_ = false;
-  }
+  /// the query service always does. Fails, leaving the index unfrozen, if
+  /// the flush fails or a page is pinned. A no-op when already frozen.
+  [[nodiscard]] Status Freeze();
+  /// Returns to mutable mode over the pool's LRU frames. Thaw drops any
+  /// scan cache: it is a view of the frozen tree and would go stale the
+  /// moment mutations resume. An index served from a read-only snapshot
+  /// still refuses Insert/Erase after Thaw().
+  void Thaw();
   bool frozen() const { return frozen_; }
 
  protected:
-  /// Guard for mutating entry points; call first in Insert/Erase.
-  [[nodiscard]] Status CheckMutable() const {
-    if (frozen_) {
-      return Status::InvalidArgument("index is frozen for serving");
-    }
-    return Status::OK();
-  }
+  /// Guard for mutating entry points; call first in Insert/Erase. Refuses
+  /// frozen indexes and indexes over read-only (snapshot) backends, before
+  /// any page is fetched.
+  [[nodiscard]] Status CheckMutable() const;
 
  private:
   bool frozen_ = false;

@@ -82,6 +82,8 @@ Status SegmentTable::BuildFlatCache() {
 }
 
 StatusOr<SegmentId> SegmentTable::Append(const Segment& s) {
+  // A frozen pool may lend the backend's own page: refuse before writing.
+  LSDB_RETURN_IF_ERROR(pool_->CheckWritable());
   // Any append invalidates the frozen flat cache (no-op when absent).
   flat_.clear();
   if (!has_superblock_) {

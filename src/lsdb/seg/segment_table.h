@@ -43,13 +43,14 @@ class SegmentTable {
   /// Writes the superblock and flushes dirty pages.
   [[nodiscard]] Status Flush();
 
-  /// Appends a segment, returning its dense id.
+  /// Appends a segment, returning its dense id. Fails with
+  /// InvalidArgument, touching no page, while the pool is frozen.
   [[nodiscard]] StatusOr<SegmentId> Append(const Segment& s);
 
   /// Fetches segment `id`. Counts one segment comparison. Safe from many
   /// threads on a frozen table when each installs its own counters in a
-  /// QueryContext (util/query_context.h); over a zero-copy pool (a
-  /// snapshot-served table) the fetch takes no lock.
+  /// QueryContext (util/query_context.h); over a zero-copy pool (a frozen
+  /// in-memory or snapshot-served table) the fetch takes no lock.
   [[nodiscard]] Status Get(SegmentId id, Segment* out);
 
   /// Rematerializes every record into a flat in-memory array; subsequent

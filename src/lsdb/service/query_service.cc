@@ -114,16 +114,9 @@ StatusOr<std::unique_ptr<QueryService>> QueryService::OpenFromSnapshot(
 }
 
 Status QueryService::WriteSnapshot(const std::string& path) {
-  // Writable backends may hold dirty pages in the pools and stale
-  // superblocks; flush so the backend files are byte-complete. Read-only
-  // backends (a service itself opened from a snapshot) are durable by
-  // definition and would reject the writes.
-  if (!seg_file_->read_only()) {
-    LSDB_RETURN_IF_ERROR(segs_->Flush());
-    LSDB_RETURN_IF_ERROR(rstar_->Flush());
-    LSDB_RETURN_IF_ERROR(rplus_->Flush());
-    LSDB_RETURN_IF_ERROR(pmr_->Flush());
-  }
+  // Every served file is already byte-complete: Build flushed each
+  // structure and the segment table when it froze them, and snapshot
+  // sections never change.
   snapshot::SnapshotParams params;
   params.page_size = options_.index.page_size;
   params.world_log2 = options_.index.world_log2;
@@ -411,8 +404,8 @@ Status QueryService::BuildIndexes(const PolygonalMap& map) {
         LSDB_RETURN_IF_ERROR(idx->Insert(id, map.segments[id]));
       }
     }
-    LSDB_RETURN_IF_ERROR(idx->Flush());
-    idx->Freeze();
+    // Flushes the structure, then serves its in-memory pages zero-copy.
+    LSDB_RETURN_IF_ERROR(idx->Freeze());
     // Throughput mode: rematerialize the frozen tree into the SoA scan
     // cache (no-op for structures without one). Fault injectors are armed
     // only after this, so the cache never absorbs an injected fault.
@@ -420,8 +413,12 @@ Status QueryService::BuildIndexes(const PolygonalMap& map) {
       LSDB_RETURN_IF_ERROR(idx->BuildScanCache());
     }
   }
-  // Refinement reads segments far more often than nodes; throughput mode
-  // flattens the frozen table too so Get() skips the pool mutex + decode.
+  // The segment table is read by every refinement: flush it and serve it
+  // zero-copy too.
+  LSDB_RETURN_IF_ERROR(segs_->Flush());
+  LSDB_RETURN_IF_ERROR(seg_pool_->Freeze());
+  // Throughput mode also flattens the frozen table so Get() skips the
+  // fetch + decode.
   if (options_.throughput_mode) {
     LSDB_RETURN_IF_ERROR(segs_->BuildFlatCache());
   }
@@ -490,7 +487,7 @@ Status QueryService::OpenIndexesFromSnapshot(bool zero_copy) {
        {static_cast<SpatialIndex*>(rstar_.get()),
         static_cast<SpatialIndex*>(rplus_.get()),
         static_cast<SpatialIndex*>(pmr_.get())}) {
-    idx->Freeze();
+    LSDB_RETURN_IF_ERROR(idx->Freeze());
     // SoA sidecar rebuild on mmap open: the snapshot file carries only the
     // paged images, so throughput mode re-derives the scan cache from the
     // mapping here (verify-on-first-touch runs during this walk).

@@ -8,12 +8,14 @@
 // metrics.
 //
 // Concurrency model: the build is single-threaded; serving is read-only.
-// Frozen indexes reject Insert/Erase; the thread-safe BufferPool serializes
-// page access on the copying path and takes no lock at all on the zero-copy
-// snapshot path; and every query runs under its own QueryContext
-// (util/query_context.h), whose private counters receive its metrics — the
-// index-owned counters have a single writer and are not touched while
-// serving, and the sequential paper harness is unaffected.
+// Build flushes and freezes every structure and the segment table, whose
+// pools then serve their in-memory pages zero-copy with no lock, exactly
+// as a zero-copy snapshot service serves its mapping (a pool-copy snapshot
+// service keeps the locked LRU frames). Frozen indexes reject Insert/Erase,
+// and every query runs under its own QueryContext (util/query_context.h),
+// whose private counters receive its metrics — the index-owned counters
+// have a single writer and are not touched while serving, and the
+// sequential paper harness, which never freezes, is unaffected.
 //
 // The paper-replication numbers (Table 1 / Table 2) are still produced by
 // the sequential harness in lsdb/harness; this subsystem is the
@@ -60,9 +62,12 @@ struct ServiceOptions {
   IndexOptions index;
   /// Worker threads executing batches.
   uint32_t num_threads = 4;
-  /// Buffer frames per structure while serving. Larger than the paper's 16
-  /// so concurrent queries rarely contend on evictions; the paper harness
-  /// keeps its own 16-frame pools and is not affected.
+  /// Buffer frames per structure pool. They hold the pages while Build
+  /// runs and after a Thaw(), and serve every query of a pool-copy
+  /// snapshot service; a built or zero-copy snapshot service serves lent
+  /// pages and no frame. Larger than the paper's 16 so concurrent queries
+  /// rarely contend on evictions; the paper harness keeps its own 16-frame
+  /// pools and is not affected.
   uint32_t serving_buffer_frames = 256;
   /// Build the served structures with the bottom-up bulk builders
   /// (src/lsdb/build/) instead of one-at-a-time insertion. Served query
@@ -79,8 +84,9 @@ struct ServiceOptions {
   /// are identical to the default path (pinned by equivalence tests);
   /// requests carrying deadlines or cancel tokens keep the per-query path
   /// so their cancellation checkpoints behave identically. Off by default:
-  /// the default path keeps every query on the buffer pool, which the
-  /// paper-metric accounting and fault-injection machinery rely on (a
+  /// the default path sends every page read through the buffer pool (lent
+  /// zero-copy pages on a built or zero-copy snapshot service), where the
+  /// fault injector and the first-touch disk-access accounting see it (a
   /// cached descent would never see an injected page fault).
   bool throughput_mode = false;
 
@@ -126,7 +132,8 @@ struct ServiceOptions {
 class QueryService {
  public:
   /// Builds the segment table and all three structures over `map`
-  /// (single-threaded), freezes them, and spins up the worker pool.
+  /// (single-threaded), flushes and freezes them — their in-memory pages
+  /// are then served zero-copy — and spins up the worker pool.
   [[nodiscard]] static StatusOr<std::unique_ptr<QueryService>> Build(
       const PolygonalMap& map, const ServiceOptions& options);
 
@@ -142,7 +149,8 @@ class QueryService {
       bool zero_copy = true);
 
   /// Serializes the (frozen) service into a single-file snapshot at
-  /// `path`, published atomically via write-to-temp + rename.
+  /// `path`, published atomically via write-to-temp + rename. Every file
+  /// it streams was flushed when its structure was frozen.
   [[nodiscard]] Status WriteSnapshot(const std::string& path);
 
   /// True when this service was opened from a snapshot rather than built.

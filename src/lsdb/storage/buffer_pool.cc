@@ -38,6 +38,7 @@ BufferPool::BufferPool(PageFile* file, uint32_t frame_count,
     : file_(file),
       metrics_(metrics),
       frame_count_(frame_count),
+      frozen_(file->read_only()),
       zero_copy_(file->zero_copy()) {
   assert(frame_count >= 1);  // NOLINT(lsdb-assert-on-disk): constructor option validation
   frames_.resize(frame_count);
@@ -70,10 +71,11 @@ BufferPool::PageRef& BufferPool::PageRef::operator=(PageRef&& o) noexcept {
 
 uint8_t* BufferPool::PageRef::data() {
   // No lock: the frame buffer is stable while this ref's pin is held, and
-  // a direct ref points into an immutable mapping. Callers of the mutable
-  // overload on a direct ref get the pointer but must not write through
-  // it — the mapping is PROT_READ and the index is frozen; writes are
-  // already rejected at the MarkDirty/Write layer.
+  // a direct ref points at backend bytes nothing writes while the pool is
+  // frozen. Callers of the mutable overload on a direct ref get the
+  // pointer but must not write through it — a snapshot mapping is
+  // PROT_READ, a MemPageFile page would lose its checksum, and the
+  // structures refuse mutation before they fetch.
   assert(valid());  // NOLINT(lsdb-assert-on-disk): PageRef handle validity, in-memory
   if (direct_ != nullptr) return const_cast<uint8_t*>(direct_);
   return pool_->frames_[frame_].buf.data();
@@ -87,8 +89,8 @@ const uint8_t* BufferPool::PageRef::data() const {
 
 void BufferPool::PageRef::MarkDirty() {
   assert(valid());  // NOLINT(lsdb-assert-on-disk): PageRef handle validity, in-memory
-  // Dirtying a zero-copy ref is a programming error (frozen section); the
-  // backend would reject the write-back anyway, so catch it at the source.
+  // Dirtying a zero-copy ref is a programming error (frozen pool), so
+  // catch it at the source.
   assert(direct_ == nullptr);  // NOLINT(lsdb-assert-on-disk): caller contract, in-memory handle
   MutexLock lk(pool_->mu_);
   pool_->frames_[frame_].dirty = true;
@@ -239,7 +241,7 @@ void BufferPool::Unpin(uint32_t frame) {
 }
 
 StatusOr<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
-  if (zero_copy_) return FetchZeroCopy(id);
+  if (zero_copy_.load(std::memory_order_relaxed)) return FetchZeroCopy(id);
   MutexLock lk(mu_);
   if (introspect::PageHeatMap* heat = heat_.load(std::memory_order_acquire)) {
     heat->Touch(id);
@@ -282,13 +284,14 @@ StatusOr<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
 }
 
 StatusOr<BufferPool::PageRef> BufferPool::FetchZeroCopy(PageId id) {
-  // No frame, no pin, no lock: the backend hands out a borrowed pointer
-  // into its immutable mapping, and MapPage()'s atomic claim decides the
-  // one first touch per page. Counting mirrors the copying path — every
-  // fetch is a page_fetch; the page's first touch (when it is
-  // checksum-verified and genuinely faulted in) is the miss / disk_read,
-  // later touches are hits. Metric increments go to the counters of the
-  // caller's QueryContext when it has some (see the file comment).
+  // No frame, no pin, no lock: the backend lends a pointer to its own
+  // page bytes, which nothing writes while the pool is frozen, and
+  // MapPage()'s atomic claim decides the one first touch per page.
+  // Counting mirrors the copying path — every fetch is a page_fetch; the
+  // page's first touch since it was last written (when it is
+  // checksum-verified) is the miss / disk_read, later touches are hits.
+  // Metric increments go to the counters of the caller's QueryContext
+  // when it has some (see the file comment).
   if (introspect::PageHeatMap* heat = heat_.load(std::memory_order_acquire)) {
     heat->Touch(id);
   }
@@ -324,6 +327,7 @@ StatusOr<BufferPool::PageRef> BufferPool::FetchZeroCopy(PageId id) {
 }
 
 StatusOr<BufferPool::PageRef> BufferPool::New() {
+  LSDB_RETURN_IF_ERROR(CheckWritable());
   MutexLock lk(mu_);
   if (MetricCounters* m = CounterSink(metrics_)) ++m->page_fetches;
   auto alloc = file_->Allocate();
@@ -351,6 +355,10 @@ StatusOr<BufferPool::PageRef> BufferPool::New() {
 
 Status BufferPool::FlushAll() {
   MutexLock lk(mu_);
+  return FlushLocked();
+}
+
+Status BufferPool::FlushLocked() {
   for (Frame& fr : frames_) {
     if (fr.page != kInvalidPageId && fr.dirty) {
       LSDB_RETURN_IF_ERROR(WritePageStamped(fr.page, fr.buf.data()));
@@ -361,7 +369,29 @@ Status BufferPool::FlushAll() {
   return Status::OK();
 }
 
+Status BufferPool::Freeze() {
+  MutexLock lk(mu_);
+  if (total_pins_ != 0) {
+    return Status::InvalidArgument("cannot freeze a pool with pinned pages");
+  }
+  LSDB_RETURN_IF_ERROR(FlushLocked());
+  frozen_.store(true, std::memory_order_relaxed);
+  zero_copy_.store(file_->lends_pages(), std::memory_order_relaxed);
+  return Status::OK();
+}
+
+void BufferPool::Thaw() {
+  frozen_.store(file_->read_only(), std::memory_order_relaxed);
+  zero_copy_.store(file_->zero_copy(), std::memory_order_relaxed);
+}
+
+Status BufferPool::CheckWritable() const {
+  if (frozen()) return Status::InvalidArgument("buffer pool is frozen");
+  return Status::OK();
+}
+
 Status BufferPool::Free(PageId id) {
+  LSDB_RETURN_IF_ERROR(CheckWritable());
   MutexLock lk(mu_);
   auto it = page_to_frame_.find(id);
   if (it != page_to_frame_.end()) {

@@ -11,9 +11,19 @@
 // time keeps the pool functional even at the smallest configurations used
 // in the Figure 6 sweep.
 //
+// Serving state: a pool is writable until Freeze(), which writes back every
+// dirty frame and then refuses every write until Thaw(). A frozen pool
+// whose backend lends its pages (PageFile::lends_pages(): MemPageFile, and
+// zero-copy snapshot sections) serves them zero-copy; one whose backend
+// cannot (PosixPageFile, pool-copy snapshot sections) keeps its LRU frames
+// and their exact accounting. A pool over a read-only backend is frozen
+// for its whole life, and over a zero-copy snapshot section it is
+// zero-copy from construction. The paper harness never freezes, so its
+// 16-frame LRU accounting is untouched.
+//
 // Thread safety (added for the concurrent query service): any number of
-// threads may Fetch/Release concurrently. A pool is copying or zero-copy
-// for its whole life, fixed by its backend at construction:
+// threads may Fetch/Release concurrently; Freeze() and Thaw() must not
+// run concurrently with any other call. The two fetch paths:
 //
 //  * Copying (LRU frames): all frame state is guarded by one mutex, and
 //    page IO happens under it, which keeps the replacement order — and
@@ -26,10 +36,12 @@
 //    kExhaustedWaitMs). A PageRef must be released on the thread that
 //    fetched it; frame contents are stable while pinned, so readers never
 //    need the mutex for data().
-//  * Zero-copy (frozen snapshot sections): Fetch takes no lock at all. The
-//    pages are immutable, the backend's atomic first-touch claim decides
-//    which fetch counts as the miss, and the pool's counters and
-//    attachments (retry policy, tracer, heat map) are atomics.
+//  * Zero-copy (frozen pools over lending backends): Fetch takes no lock at
+//    all. Nothing writes the pages while the pool is frozen, the backend's
+//    atomic first-touch claim decides which fetch counts as the miss, and
+//    the pool's counters and attachments (retry policy, tracer, heat map)
+//    are atomics. The frames keep their clean copies for Thaw() to resume
+//    from.
 //
 // Metric counters: the MetricCounters passed at construction have a single
 // writer. Threads that fetch concurrently must each install their own
@@ -89,16 +101,16 @@ class BufferPool {
 
   /// RAII pinned page handle. Movable; unpins on destruction.
   ///
-  /// Over a zero-copy backend a ref holds a borrowed pointer straight into
-  /// the backend's mapping instead of a pinned frame: data() serves it,
-  /// Release() has nothing to unpin, and MarkDirty() is a contract
-  /// violation (snapshot sections are immutable).
+  /// On the zero-copy path a ref holds a pointer lent by the backend
+  /// instead of a pinned frame: data() serves it, Release() has nothing to
+  /// unpin, and writing through it or MarkDirty() is a contract violation
+  /// (the pool is frozen).
   class PageRef {
    public:
     PageRef() = default;
     PageRef(BufferPool* pool, uint32_t frame, PageId id)
         : pool_(pool), frame_(frame), id_(id) {}
-    /// Direct (zero-copy) ref: no pool pin, data lives in the mapping.
+    /// Direct (zero-copy) ref: no pool pin, data lives in the backend.
     PageRef(const uint8_t* direct, PageId id) : id_(id), direct_(direct) {}
     PageRef(PageRef&& o) noexcept { *this = std::move(o); }
     PageRef& operator=(PageRef&& o) noexcept;
@@ -130,12 +142,32 @@ class BufferPool {
   /// Pins page `id`, reading it from the file on a miss.
   [[nodiscard]] StatusOr<PageRef> Fetch(PageId id) LSDB_EXCLUDES(mu_);
   /// Allocates a new zeroed page and pins it (already marked dirty).
+  /// Fails while frozen.
   [[nodiscard]] StatusOr<PageRef> New() LSDB_EXCLUDES(mu_);
   /// Writes back all dirty pages (counts as disk writes).
   [[nodiscard]] Status FlushAll() LSDB_EXCLUDES(mu_);
   /// Drops page `id` from the pool (must be unpinned; dirty data is
-  /// discarded) and frees it in the file.
+  /// discarded) and frees it in the file. Fails while frozen.
   [[nodiscard]] Status Free(PageId id) LSDB_EXCLUDES(mu_);
+
+  /// Enters read-only serving (see the file comment): writes back every
+  /// dirty frame, then refuses writes and, over a lending backend, serves
+  /// zero-copy. Fails with InvalidArgument, changing nothing, while any
+  /// frame is pinned; a failed write-back is returned as is.
+  [[nodiscard]] Status Freeze() LSDB_EXCLUDES(mu_);
+  /// Leaves read-only serving: back to the LRU frames, which still hold
+  /// clean copies because nothing was written while frozen. A pool over a
+  /// read-only backend stays as it was built.
+  void Thaw();
+  /// True while writes are refused (after Freeze(), or always over a
+  /// read-only backend).
+  bool frozen() const { return frozen_.load(std::memory_order_relaxed); }
+  /// InvalidArgument while frozen, else OK. Callers that write through a
+  /// fetched ref (WriteSuperblock, SegmentTable::Append) check it before
+  /// they fetch.
+  [[nodiscard]] Status CheckWritable() const;
+  /// True when the backend rejects every write (snapshot sections).
+  bool read_only() const { return file_->read_only(); }
 
   uint32_t frame_count() const { return frame_count_; }
   uint32_t page_size() const { return file_->page_size(); }
@@ -156,7 +188,7 @@ class BufferPool {
   /// touched).
   uint64_t hits() const { return hits_.value(); }
   /// Fetches that had to read the page from the file (zero-copy: the
-  /// page's first touch).
+  /// page's first touch since it was last written).
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   /// Pages pushed out of the pool to make room (LRU victims).
   uint64_t evictions() const LSDB_EXCLUDES(mu_);
@@ -218,6 +250,8 @@ class BufferPool {
   /// Hit/miss/disk-access counting mirrors the copying path (first touch =
   /// miss).
   [[nodiscard]] StatusOr<PageRef> FetchZeroCopy(PageId id);
+  /// Writes back every dirty frame (counts as disk writes).
+  [[nodiscard]] Status FlushLocked() LSDB_REQUIRES(mu_);
   /// Finds a frame for a new page: free frame, LRU-evicted victim, or —
   /// when all frames are pinned by *other* threads — waits for a release.
   /// May drop mu_ while waiting (CondVar), but holds it on entry and exit.
@@ -242,9 +276,11 @@ class BufferPool {
   PageFile* file_;
   MetricCounters* metrics_;
   const uint32_t frame_count_;  ///< Immutable after construction.
-  /// file_->zero_copy(), fixed for the pool's life: Fetch dispatches on it
-  /// without a virtual call.
-  const bool zero_copy_;
+  /// Serving state (see the file comment). Written only by the
+  /// constructor, Freeze() and Thaw(), which run alone; Fetch dispatches
+  /// on zero_copy_ without a virtual call.
+  std::atomic<bool> frozen_;
+  std::atomic<bool> zero_copy_;
 
   mutable Mutex mu_{"BufferPool.mu"};
   CondVar frame_released_;
@@ -262,7 +298,8 @@ class BufferPool {
 
   // Observability (see accessor docs). Copying-path writers hold mu_ and
   // update hits_/misses_ with a plain load and store; zero-copy writers
-  // hold nothing and use atomic adds. A pool never runs both paths.
+  // hold nothing and use atomic adds. A pool never runs both paths at
+  // once: Freeze() and Thaw() switch between them while no fetch runs.
   ShardedCounter hits_;  ///< Per-thread slots: every zero-copy hit bumps it.
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> io_retries_{0};

@@ -16,10 +16,11 @@
 //
 // A decorator starts transparent (empty plan, pure pass-through). Services
 // build their structures through it, then arm a plan once frozen, so build
-// determinism and the paper metrics are never affected. While no plan is
-// armed and no page is marked dead, every operation is a lock-free
-// pass-through: one atomic flag decides it, so a transparent injector adds
-// no lock to the zero-copy serving path.
+// determinism and the paper metrics are never affected. A frozen service
+// reads through MapPage(), where bit flips cannot be injected (see there).
+// While no plan is armed and no page is marked dead, every operation is a
+// lock-free pass-through: one atomic flag decides it, so a transparent
+// injector adds no lock to the zero-copy serving path.
 
 #ifndef LSDB_STORAGE_FAULT_INJECTION_H_
 #define LSDB_STORAGE_FAULT_INJECTION_H_
@@ -52,7 +53,8 @@ struct FaultPlan {
   double write_permanent_rate = 0.0;
   /// Silent corruption: one random bit of the page flips. On reads the
   /// returned buffer is corrupted; on writes the stored bytes are. The
-  /// stored checksum is *not* recomputed, so the pool detects it.
+  /// stored checksum is *not* recomputed, so the pool detects it. Lent
+  /// pages (MapPage) are never flipped.
   double bitflip_rate = 0.0;
   /// Torn write: only the first half of the page reaches storage, the rest
   /// stays zero/stale; the checksum still describes the full intended page.
@@ -127,16 +129,20 @@ class FaultInjectingPageFile : public PageFile {
     return base_->live_page_count();
   }
   bool read_only() const override { return base_->read_only(); }
-  bool zero_copy() const override { return base_->zero_copy(); }
+  bool lends_pages() const override { return base_->lends_pages(); }
   [[nodiscard]] Status Read(PageId id, void* buf, uint32_t* checksum)
       override LSDB_EXCLUDES(mu_);
   [[nodiscard]] Status Write(PageId id, const void* buf, uint32_t checksum)
       override LSDB_EXCLUDES(mu_);
-  /// Same read-fault ladder as Read() over the base's zero-copy view.
-  /// Bit flips are the one fault that cannot be injected here: the view is
-  /// a borrowed pointer into a read-only mapping, so there is no buffer to
-  /// corrupt — flipped-byte coverage for snapshots comes from corrupting
-  /// the file itself (see the hostile-snapshot tests).
+  /// Same read-fault ladder as Read() over the base's lent page, on every
+  /// fetch of a zero-copy pool: dead page, FailAllReads, permanent and
+  /// transient draws, and latency. Bit flips are the one fault that cannot
+  /// be injected here: the view is the backend's own bytes, so there is no
+  /// private buffer to corrupt, and `bitflips` stays 0 whatever the plan's
+  /// bitflip_rate. A built or zero-copy snapshot service therefore sees an
+  /// armed plan's transient and permanent faults but never its flips;
+  /// flips reach pools that copy (pool-copy snapshots, unfrozen pools) and
+  /// snapshot files corrupted on disk (the hostile-snapshot tests).
   [[nodiscard]] StatusOr<MappedPage> MapPage(PageId id)
       override LSDB_EXCLUDES(mu_);
   [[nodiscard]] StatusOr<PageId> Allocate() override { return base_->Allocate(); }

@@ -1,9 +1,6 @@
 #include "lsdb/storage/mmap_page_file.h"
 
 #include <cstring>
-#include <string>
-
-#include "lsdb/util/crc32c.h"
 
 namespace lsdb {
 
@@ -27,11 +24,7 @@ MmapPageFile::MmapPageFile(const uint8_t* base, uint32_t page_count,
       base_(base),
       page_count_(page_count),
       zero_copy_(zero_copy),
-      verified_(new std::atomic<uint8_t>[page_count > 0 ? page_count : 1]) {
-  for (uint32_t i = 0; i < page_count_; ++i) {
-    verified_[i].store(0, std::memory_order_relaxed);
-  }
-}
+      claims_(page_count) {}
 
 Status MmapPageFile::Read(PageId id, void* buf, uint32_t* checksum) {
   if (id >= page_count_) {
@@ -48,24 +41,8 @@ StatusOr<PageFile::MappedPage> MmapPageFile::MapPage(PageId id) {
     return Status::InvalidArgument("map of unallocated page");
   }
   const uint8_t* slot = Slot(id);
-  MappedPage page;
-  page.data = slot;
-  page.first_touch = false;
-  if (verified_[id].load(std::memory_order_acquire) == 0) {
-    const uint32_t stored = TrailerCrc(slot + page_size_);
-    if (crc32c::Compute(slot, page_size_) != stored) {
-      return Status::Corruption("mapped page " + std::to_string(id) +
-                                " failed checksum verification");
-    }
-    // Two threads may race to first-touch the same page; both verify the
-    // same immutable bytes, and exchange() lets exactly one claim the
-    // first_touch (= one counted disk access) for the pool's accounting.
-    if (verified_[id].exchange(1, std::memory_order_acq_rel) == 0) {
-      page.first_touch = true;
-      pages_verified_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return page;
+  if (claims_.claimed(id)) return MappedPage{slot, false};
+  return claims_.Claim(id, slot, page_size_, TrailerCrc(slot + page_size_));
 }
 
 Status MmapPageFile::Write(PageId, const void*, uint32_t) {
@@ -78,10 +55,6 @@ StatusOr<PageId> MmapPageFile::Allocate() {
 
 Status MmapPageFile::Free(PageId) {
   return Status::InvalidArgument("free in a read-only snapshot section");
-}
-
-uint64_t MmapPageFile::pages_verified() const {
-  return pages_verified_.load(std::memory_order_relaxed);
 }
 
 }  // namespace lsdb

@@ -4,7 +4,8 @@
 // pointer straight into the mapped region instead of copying the page into
 // a buffer-pool frame. The stored per-page CRC-32C trailer (same slot
 // layout as PosixPageFile: page_size content bytes + 4-byte little-endian
-// trailer) is verified the first time each page is touched; a mismatch is a
+// trailer) is verified the first time each page is touched (the same
+// FirstTouchClaims a MemPageFile lends its pages through); a mismatch is a
 // typed Status::Corruption, never an assert, so a flipped byte in a
 // snapshot file degrades one query instead of the process.
 //
@@ -14,17 +15,16 @@
 // offsets inside the container are not). The reader must outlive its views.
 //
 // `zero_copy` can be disabled at construction to force the classic
-// copy-into-frame path through the BufferPool: Read() then serves the page
-// bytes + stored CRC like any other backend, and the pool's 16-frame LRU
-// disk-access accounting matches the paper's model exactly. This is how
-// the experiment harness replays Table 2 from a snapshot.
+// copy-into-frame path through the BufferPool: the view then lends no
+// pages, Read() serves the page bytes + stored CRC like any other backend,
+// and the pool's 16-frame LRU disk-access accounting matches the paper's
+// model exactly, frozen or not. This is how the experiment harness
+// replays Table 2 from a snapshot.
 
 #ifndef LSDB_STORAGE_MMAP_PAGE_FILE_H_
 #define LSDB_STORAGE_MMAP_PAGE_FILE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "lsdb/storage/page_file.h"
 #include "lsdb/util/status.h"
@@ -43,7 +43,7 @@ class MmapPageFile : public PageFile {
   using PageFile::Read;
 
   bool read_only() const override { return true; }
-  bool zero_copy() const override { return zero_copy_; }
+  bool lends_pages() const override { return zero_copy_; }
 
   uint32_t page_count() const override { return page_count_; }
   uint32_t live_page_count() const override { return page_count_; }
@@ -61,7 +61,7 @@ class MmapPageFile : public PageFile {
   [[nodiscard]] Status Free(PageId id) override;
 
   /// Pages whose checksum has been verified so far (obs gauge).
-  uint64_t pages_verified() const;
+  uint64_t pages_verified() const { return claims_.pages_verified(); }
 
  private:
   uint32_t slot_size() const { return page_size_ + kPageTrailerSize; }
@@ -72,11 +72,7 @@ class MmapPageFile : public PageFile {
   const uint8_t* base_;  ///< Not owned; the mapping must outlive this view.
   const uint32_t page_count_;
   const bool zero_copy_;
-  /// One flag per page: set once its CRC has verified. Concurrent
-  /// first-touches may both verify (benign — the data is immutable); the
-  /// flag only bounds re-verification cost after that.
-  std::unique_ptr<std::atomic<uint8_t>[]> verified_;
-  std::atomic<uint64_t> pages_verified_{0};
+  FirstTouchClaims claims_;
 };
 
 }  // namespace lsdb

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cstdio>
@@ -61,6 +62,37 @@ Status PageFile::Write(PageId id, const void* buf) {
   return Write(id, buf, crc32c::Compute(buf, page_size_));
 }
 
+FirstTouchClaims::FirstTouchClaims(uint32_t pages) { Resize(pages); }
+
+void FirstTouchClaims::Resize(uint32_t pages) {
+  if (pages <= capacity_) return;
+  const uint32_t cap = std::max(pages, 2 * capacity_);
+  std::unique_ptr<std::atomic<uint8_t>[]> grown(new std::atomic<uint8_t>[cap]);
+  for (uint32_t i = 0; i < cap; ++i) {
+    grown[i].store(i < capacity_ ? flags_[i].load(std::memory_order_relaxed)
+                                 : 0,
+                   std::memory_order_relaxed);
+  }
+  flags_ = std::move(grown);
+  capacity_ = cap;
+}
+
+StatusOr<PageFile::MappedPage> FirstTouchClaims::Claim(PageId id,
+                                                       const uint8_t* data,
+                                                       uint32_t page_size,
+                                                       uint32_t stored) {
+  if (crc32c::Compute(data, page_size) != stored) {
+    return Status::Corruption("mapped page " + std::to_string(id) +
+                              " failed checksum verification");
+  }
+  // Two threads may race to first-touch the same page; both verify the
+  // same unchanging bytes, and exchange() lets exactly one claim the
+  // first_touch (= one counted disk access) for the pool's accounting.
+  const bool first = flags_[id].exchange(1, std::memory_order_acq_rel) == 0;
+  if (first) pages_verified_.fetch_add(1, std::memory_order_relaxed);
+  return PageFile::MappedPage{data, first};
+}
+
 MemPageFile::MemPageFile(uint32_t page_size)
     : PageFile(page_size), zero_crc_(ZeroPageCrc(page_size)) {
   assert(page_size >= 64);  // NOLINT(lsdb-assert-on-disk): constructor option validation
@@ -83,12 +115,22 @@ Status MemPageFile::Read(PageId id, void* buf, uint32_t* checksum) {
   return Status::OK();
 }
 
+StatusOr<PageFile::MappedPage> MemPageFile::MapPage(PageId id) {
+  if (id >= pages_.size() || !live_[id]) {
+    return Status::InvalidArgument("map of unallocated page");
+  }
+  const uint8_t* page = pages_[id].get();
+  if (claims_.claimed(id)) return MappedPage{page, false};
+  return claims_.Claim(id, page, page_size_, crcs_[id]);
+}
+
 Status MemPageFile::Write(PageId id, const void* buf, uint32_t checksum) {
   if (id >= pages_.size() || !live_[id]) {
     return Status::InvalidArgument("write of unallocated page");
   }
   std::memcpy(pages_[id].get(), buf, page_size_);
   crcs_[id] = checksum;
+  claims_.Reset(id);
   return Status::OK();
 }
 
@@ -99,6 +141,7 @@ StatusOr<PageId> MemPageFile::Allocate() {
     live_[id] = true;
     std::memset(pages_[id].get(), 0, page_size_);
     crcs_[id] = zero_crc_;
+    claims_.Reset(id);
     return id;
   }
   const PageId id = static_cast<PageId>(pages_.size());
@@ -107,6 +150,7 @@ StatusOr<PageId> MemPageFile::Allocate() {
   pages_.push_back(std::move(page));
   crcs_.push_back(zero_crc_);
   live_.push_back(true);
+  claims_.Resize(id + 1);
   return id;
 }
 

@@ -11,6 +11,8 @@ constexpr uint16_t kVersion = 1;
 
 Status WriteSuperblock(BufferPool* pool, PageId pid, SuperblockKind kind,
                        const SuperblockFields& fields) {
+  // A frozen pool may lend the backend's own page: refuse before writing.
+  LSDB_RETURN_IF_ERROR(pool->CheckWritable());
   auto ref = pool->Fetch(pid);
   if (!ref.ok()) return ref.status();
   uint8_t* p = ref->data();

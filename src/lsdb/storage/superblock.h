@@ -27,7 +27,8 @@ enum class SuperblockKind : uint16_t {
 
 using SuperblockFields = std::array<uint64_t, 12>;
 
-/// Writes a superblock into page `pid` (usually 0).
+/// Writes a superblock into page `pid` (usually 0). Fails with
+/// InvalidArgument, touching no page, while the pool is frozen.
 [[nodiscard]] Status WriteSuperblock(BufferPool* pool, PageId pid, SuperblockKind kind,
                        const SuperblockFields& fields);
 

@@ -440,7 +440,7 @@ TEST(BulkLoadTest, MutationAfterThawOnBulkBuiltTrees) {
     ASSERT_TRUE(BulkLoad(idx, items).ok()) << idx->Name();
 
     // Round-trip through serving mode, then mutate the packed tree.
-    idx->Freeze();
+    ASSERT_TRUE(idx->Freeze().ok()) << idx->Name();
     EXPECT_TRUE(idx->Insert(extras[0].first, extras[0].second)
                     .IsInvalidArgument())
         << idx->Name();

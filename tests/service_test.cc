@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -145,7 +148,7 @@ TEST_F(QueryServiceTest, ThawReenablesMutation) {
   const Segment s = map_.segments[0];
   EXPECT_TRUE(idx->Erase(0, s).ok());
   EXPECT_TRUE(idx->Insert(0, s).ok());
-  idx->Freeze();
+  EXPECT_TRUE(idx->Freeze().ok());
 }
 
 TEST_F(QueryServiceTest, BatchMatchesDirectQueries) {
@@ -290,8 +293,9 @@ class ServiceRobustnessTest : public ::testing::Test {
   void Build(const ServiceOptions& base) {
     map_ = SmallMap();
     ServiceOptions opt = base;
-    // Small serving pools so queries actually reach the (possibly faulty)
-    // page files instead of being absorbed by a warm cache.
+    // A built service's frozen pools reach the (possibly faulty) page
+    // files on every fetch; small pools keep the LRU frames of a thawed or
+    // pool-copy service from absorbing reads in a warm cache too.
     opt.serving_buffer_frames = 16;
     auto svc = QueryService::Build(map_, opt);
     ASSERT_TRUE(svc.ok()) << svc.status().ToString();
@@ -363,10 +367,14 @@ TEST_F(ServiceRobustnessTest, BreakerTripsWhileOtherStructuresKeepServing) {
   svc_->tracer().Close();
 }
 
-// The acceptance scenario from the issue: a seeded 1% transient-read +
+// The acceptance scenario of the fault suite: a seeded 1% transient-read +
 // 0.1% bit-flip plan, 10k mixed queries per structure across 4 workers.
 // The batch must complete with every response either ok or a typed
 // kIoError / kCorruption / kUnavailable — no crashes, no untyped errors.
+// The built service serves lent pages, where no bit can be flipped (see
+// FaultInjectingPageFile::MapPage), so the same plan is replayed on a
+// pool-copy snapshot of it, whose reads copy and can be flipped: there the
+// flips must surface as checksum failures.
 TEST_F(ServiceRobustnessTest, SeededFaultPlanTenThousandQueriesAllTyped) {
   ServiceOptions opt;
   opt.num_threads = 4;
@@ -375,18 +383,46 @@ TEST_F(ServiceRobustnessTest, SeededFaultPlanTenThousandQueriesAllTyped) {
   opt.fault_plan.bitflip_rate = 0.001;
   Build(opt);
   auto batch = MixedBatch(map_, 10000, 42);
-  for (ServedIndex which : kAllServedIndexes) {
-    auto res = svc_->ExecuteBatch(which, batch);
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
-    size_t ok = 0;
-    for (const QueryResponse& r : res->responses) {
-      ASSERT_TRUE(IsTypedServingStatus(r.status))
-          << ServedIndexName(which) << ": " << r.status.ToString();
-      ok += r.status.ok();
+  // Runs the batch on every structure of `svc`: every response typed, most
+  // of them ok, and some fault injected on each structure.
+  auto run_all_typed = [&](QueryService* svc, const char* mode) {
+    for (ServedIndex which : kAllServedIndexes) {
+      auto res = svc->ExecuteBatch(which, batch);
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      size_t ok = 0;
+      for (const QueryResponse& r : res->responses) {
+        ASSERT_TRUE(IsTypedServingStatus(r.status))
+            << mode << " " << ServedIndexName(which) << ": "
+            << r.status.ToString();
+        ok += r.status.ok();
+      }
+      // Retries absorb most transient faults; the vast majority succeeds.
+      EXPECT_GT(ok, batch.size() / 2) << mode << " " << ServedIndexName(which);
+      EXPECT_GT(svc->fault_injector(which)->stats().total_faults(), 0u)
+          << mode << " " << ServedIndexName(which);
     }
-    // Retries absorb most transient faults; the vast majority succeeds.
-    EXPECT_GT(ok, batch.size() / 2) << ServedIndexName(which);
-    EXPECT_GT(svc_->fault_injector(which)->stats().total_faults(), 0u)
+  };
+  run_all_typed(svc_.get(), "built");
+  for (ServedIndex which : kAllServedIndexes) {
+    const FaultStats& st = svc_->fault_injector(which)->stats();
+    EXPECT_EQ(st.bitflips.load(), 0u) << ServedIndexName(which);
+    EXPECT_GT(st.transient_read_faults.load(), 0u) << ServedIndexName(which);
+  }
+
+  const std::string path = ::testing::TempDir() + "/lsdb_faulty_copy_" +
+                           std::to_string(::getpid()) + ".lsnap";
+  ASSERT_TRUE(svc_->WriteSnapshot(path).ok());
+  ServiceOptions copy_opt = opt;
+  copy_opt.serving_buffer_frames = 16;
+  auto copy = QueryService::OpenFromSnapshot(path, copy_opt,
+                                             /*zero_copy=*/false);
+  std::remove(path.c_str());
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  run_all_typed(copy->get(), "pool-copy");
+  for (ServedIndex which : kAllServedIndexes) {
+    EXPECT_GT((*copy)->fault_injector(which)->stats().bitflips.load(), 0u)
+        << ServedIndexName(which);
+    EXPECT_GT((*copy)->index(which)->pool()->checksum_failures(), 0u)
         << ServedIndexName(which);
   }
   // The robustness metrics are exported through the /metrics snapshot.

@@ -283,7 +283,7 @@ void ScanCacheEquivalenceImpl() {
   Fixture f;
   Rng rng(31);
   for (const Segment& s : RandomSegments(&rng, 800, 1024, 96)) f.Add(s);
-  f.tree.Freeze();
+  ASSERT_TRUE(f.tree.Freeze().ok());
   const std::vector<Rect> ws = FuzzWindows(7, 120, 1024);
 
   ASSERT_FALSE(f.tree.scan_cache_enabled());

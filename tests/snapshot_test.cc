@@ -1,8 +1,9 @@
 // Snapshot subsystem: round-trip equivalence of a service served from a
 // single-file snapshot (mmap zero-copy and pool-copy modes), hostile-file
 // validation (every structural corruption is a typed error, never a
-// crash), snapshot serving under the storage fault injector, and the
-// lock-free zero-copy read path under concurrent traffic.
+// crash), snapshot serving under the storage fault injector, mutation
+// refused on thawed snapshot indexes, and the lock-free zero-copy read path
+// under concurrent traffic, on snapshot-served and built services.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -167,6 +168,48 @@ TEST(SnapshotTest, ResnapshotOfSnapshotServiceIsByteIdentical) {
   EXPECT_EQ(ReadFileBytes(p1), ReadFileBytes(p2));
   std::remove(p1.c_str());
   std::remove(p2.c_str());
+}
+
+// Thawing a snapshot-served index must not make it mutable: its pages are
+// a read-only mapping (zero-copy) or can never be written back (pool-copy).
+// Insert/Erase are refused before any page is fetched, and the service
+// answers exactly as before once the index is frozen again.
+TEST(SnapshotTest, ThawedSnapshotIndexRefusesMutation) {
+  const PolygonalMap map = SmallMap();
+  const std::string path = ::testing::TempDir() + "/lsdb_thaw_" +
+                           std::to_string(::getpid()) + ".lsnap";
+  ServiceOptions opt;
+  opt.bulk_build = true;
+  opt.num_threads = 2;
+  {
+    auto built = QueryService::Build(map, opt);
+    ASSERT_TRUE(built.ok());
+    ASSERT_TRUE((*built)->WriteSnapshot(path).ok());
+  }
+  const auto batch = MixedBatch(map, 200, 61);
+  const Segment seg = map.segments[0];
+  for (const bool zero_copy : {true, false}) {
+    const char* mode = zero_copy ? "zero-copy" : "pool-copy";
+    auto svc = QueryService::OpenFromSnapshot(path, opt, zero_copy);
+    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+    for (ServedIndex which : kAllServedIndexes) {
+      auto before = (*svc)->ExecuteBatch(which, batch);
+      ASSERT_TRUE(before.ok());
+      SpatialIndex* idx = (*svc)->index(which);
+      idx->Thaw();
+      EXPECT_FALSE(idx->frozen());
+      EXPECT_TRUE(idx->Erase(0, seg).IsInvalidArgument())
+          << mode << " " << ServedIndexName(which);
+      EXPECT_TRUE(idx->Insert(0, seg).IsInvalidArgument())
+          << mode << " " << ServedIndexName(which);
+      ASSERT_TRUE(idx->Freeze().ok()) << mode;
+      auto after = (*svc)->ExecuteBatch(which, batch);
+      ASSERT_TRUE(after.ok());
+      EXPECT_TRUE(SameResponses(*before, *after))
+          << mode << " " << ServedIndexName(which);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // The paper harness produces byte-identical Table 1 / Table 2 numbers from
@@ -497,6 +540,71 @@ uint64_t PagesVerified(QueryService* svc, const char* name) {
           ->value());
 }
 
+/// Pages of MemPageFile-backed `pool` (possibly behind a fault injector)
+/// verified on first touch so far.
+uint64_t PagesVerified(BufferPool* pool) {
+  PageFile* file = pool->file();
+  if (auto* injector = dynamic_cast<FaultInjectingPageFile*>(file)) {
+    file = injector->base();
+  }
+  auto* mem = dynamic_cast<MemPageFile*>(file);
+  return mem == nullptr ? 0 : mem->pages_verified();
+}
+
+/// Runs concurrent ExecuteBatch and SubmitQuery streams of `batch` on all
+/// three structures of `s` at once, `kRounds` each, and checks every
+/// answer against `truth`.
+void RaceStreams(QueryService* s, const std::vector<QueryRequest>& batch,
+                 const BatchResult* truth) {
+  constexpr int kRounds = 3;
+  std::vector<std::string> errors(2 * std::size(kAllServedIndexes));
+  std::vector<std::thread> clients;
+  for (ServedIndex which : kAllServedIndexes) {
+    const size_t i = static_cast<size_t>(which);
+    clients.emplace_back([&, which, i] {
+      for (int r = 0; r < kRounds && errors[2 * i].empty(); ++r) {
+        auto res = s->ExecuteBatch(which, batch);
+        if (!res.ok() || !SameResponses(*res, truth[i])) {
+          errors[2 * i] = std::string("ExecuteBatch ") + ServedIndexName(which);
+        }
+      }
+    });
+    clients.emplace_back([&, which, i] {
+      for (int r = 0; r < kRounds && errors[2 * i + 1].empty(); ++r) {
+        auto res = s->ExecuteBatchAdmitted(which, batch);
+        if (!res.ok() || !SameResponses(*res, truth[i])) {
+          errors[2 * i + 1] =
+              std::string("SubmitQuery ") + ServedIndexName(which);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (const std::string& e : errors) EXPECT_TRUE(e.empty()) << e;
+}
+
+/// ExecuteBatch alone: the pools' hits + misses advance by exactly the
+/// page fetches the workers' counter sinks recorded.
+void ExpectPoolFetchesMatchSinks(QueryService* s,
+                                 const std::vector<QueryRequest>& batch,
+                                 const BatchResult* truth) {
+  for (ServedIndex which : kAllServedIndexes) {
+    const BufferPool* pools[] = {s->index(which)->pool(),
+                                 s->segment_table()->pool()};
+    const uint64_t before = Fetches(pools[0]) + Fetches(pools[1]);
+    auto res = s->ExecuteBatch(which, batch);
+    ASSERT_TRUE(res.ok());
+    EXPECT_TRUE(SameResponses(*res, truth[static_cast<size_t>(which)]));
+    uint64_t sink_fetches = 0;
+    for (const MetricCounters& c : res->per_worker) {
+      sink_fetches += c.page_fetches;
+    }
+    EXPECT_GT(sink_fetches, 0u);
+    EXPECT_EQ(Fetches(pools[0]) + Fetches(pools[1]) - before, sink_fetches)
+        << ServedIndexName(which);
+  }
+}
+
 // A cold zero-copy service serves concurrent ExecuteBatch and SubmitQuery
 // streams on all three structures at once, so first touches race on every
 // page. Every answer must match the sequential ground truth, each page's
@@ -534,31 +642,7 @@ TEST(SnapshotConcurrencyTest, ConcurrentStreamsMatchSequentialAndCountExactly) {
   auto svc = QueryService::OpenFromSnapshot(path, opt, /*zero_copy=*/true);
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();
   QueryService* s = svc->get();
-  constexpr int kRounds = 3;
-  std::vector<std::string> errors(2 * std::size(kAllServedIndexes));
-  std::vector<std::thread> clients;
-  for (ServedIndex which : kAllServedIndexes) {
-    const size_t i = static_cast<size_t>(which);
-    clients.emplace_back([&, which, i] {
-      for (int r = 0; r < kRounds && errors[2 * i].empty(); ++r) {
-        auto res = s->ExecuteBatch(which, batch);
-        if (!res.ok() || !SameResponses(*res, truth[i])) {
-          errors[2 * i] = std::string("ExecuteBatch ") + ServedIndexName(which);
-        }
-      }
-    });
-    clients.emplace_back([&, which, i] {
-      for (int r = 0; r < kRounds && errors[2 * i + 1].empty(); ++r) {
-        auto res = s->ExecuteBatchAdmitted(which, batch);
-        if (!res.ok() || !SameResponses(*res, truth[i])) {
-          errors[2 * i + 1] =
-              std::string("SubmitQuery ") + ServedIndexName(which);
-        }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  for (const std::string& e : errors) EXPECT_TRUE(e.empty()) << e;
+  RaceStreams(s, batch, truth);
 
   // Each page's first touch was claimed by exactly one racing fetch.
   const char* sections[] = {"R*", "R+", "PMR"};
@@ -571,24 +655,60 @@ TEST(SnapshotConcurrencyTest, ConcurrentStreamsMatchSequentialAndCountExactly) {
   EXPECT_EQ(s->segment_table()->pool()->misses(),
             PagesVerified(s, "segments"));
 
-  // ExecuteBatch alone: the pools' hits + misses advance by exactly the
-  // page fetches the workers' counter sinks recorded.
-  for (ServedIndex which : kAllServedIndexes) {
-    const BufferPool* pools[] = {s->index(which)->pool(),
-                                 s->segment_table()->pool()};
-    const uint64_t before = Fetches(pools[0]) + Fetches(pools[1]);
-    auto res = s->ExecuteBatch(which, batch);
-    ASSERT_TRUE(res.ok());
-    EXPECT_TRUE(SameResponses(*res, truth[static_cast<size_t>(which)]));
-    uint64_t sink_fetches = 0;
-    for (const MetricCounters& c : res->per_worker) {
-      sink_fetches += c.page_fetches;
-    }
-    EXPECT_GT(sink_fetches, 0u);
-    EXPECT_EQ(Fetches(pools[0]) + Fetches(pools[1]) - before, sink_fetches)
-        << ServedIndexName(which);
-  }
+  ExpectPoolFetchesMatchSinks(s, batch, truth);
   std::remove(path.c_str());
+}
+
+// The built twin: QueryService::Build freezes every in-memory pool onto the
+// same lock-free zero-copy path, so the same race must give the same
+// guarantees. Misses are counted from the freeze on (the build itself
+// missed through the LRU frames).
+TEST(BuiltServiceConcurrencyTest,
+     ConcurrentStreamsMatchSequentialAndCountExactly) {
+  const PolygonalMap map = SmallMap(41);
+  ServiceOptions opt;
+  opt.bulk_build = true;
+  opt.num_threads = 4;
+  opt.admission.max_queue = 1 << 16;  // nothing sheds
+  const auto batch = MixedBatch(map, 300, 59);
+
+  // Ground truth from a second service, so the one under test starts cold.
+  BatchResult truth[std::size(kAllServedIndexes)];
+  {
+    auto ref = QueryService::Build(map, opt);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    for (ServedIndex which : kAllServedIndexes) {
+      auto r = (*ref)->ExecuteBatchSequential(which, batch);
+      ASSERT_TRUE(r.ok());
+      truth[static_cast<size_t>(which)] = std::move(*r);
+    }
+  }
+
+  auto svc = QueryService::Build(map, opt);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  QueryService* s = svc->get();
+  BufferPool* pools[] = {s->index(ServedIndex::kRStar)->mutable_pool(),
+                         s->index(ServedIndex::kRPlus)->mutable_pool(),
+                         s->index(ServedIndex::kPmr)->mutable_pool(),
+                         s->segment_table()->pool()};
+  uint64_t misses0[std::size(pools)];
+  for (size_t i = 0; i < std::size(pools); ++i) {
+    ASSERT_TRUE(pools[i]->frozen()) << i;
+    EXPECT_EQ(PagesVerified(pools[i]), 0u) << i;
+    misses0[i] = pools[i]->misses();
+  }
+
+  RaceStreams(s, batch, truth);
+
+  // Each page's first touch was claimed by exactly one racing fetch, and
+  // a lent page pins no frame.
+  for (size_t i = 0; i < std::size(pools); ++i) {
+    EXPECT_GT(PagesVerified(pools[i]), 0u) << i;
+    EXPECT_EQ(pools[i]->misses() - misses0[i], PagesVerified(pools[i])) << i;
+    EXPECT_EQ(pools[i]->pinned_frames(), 0u) << i;
+  }
+
+  ExpectPoolFetchesMatchSinks(s, batch, truth);
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
+#include "lsdb/seg/segment_table.h"
 #include "lsdb/service/cancel.h"
 #include "lsdb/service/circuit_breaker.h"
 #include "lsdb/storage/buffer_pool.h"
 #include "lsdb/storage/fault_injection.h"
 #include "lsdb/storage/mmap_page_file.h"
 #include "lsdb/storage/page_file.h"
+#include "lsdb/storage/superblock.h"
 #include "lsdb/util/crc32c.h"
 #include "lsdb/util/query_context.h"
 #include "lsdb/util/random.h"
@@ -485,6 +490,218 @@ std::vector<uint8_t> MappedSlots(uint32_t count, uint32_t page_size) {
     }
   }
   return bytes;
+}
+
+// -- Frozen pools -------------------------------------------------------------
+//
+// Freeze() moves a pool over a lending backend (MemPageFile) onto the
+// lock-free zero-copy path and refuses every write; Thaw() returns it to
+// its LRU frames. Backends that cannot lend keep exact LRU while frozen.
+
+class FrozenPoolTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kPage = 128;
+
+  FrozenPoolTest() : file_(kPage), pool_(&file_, 4, &metrics_) {}
+
+  /// Allocates `n` pages, page i filled with byte 0x10 + i, all written
+  /// back and unpinned.
+  std::vector<PageId> MakePages(uint32_t n) {
+    std::vector<PageId> ids;
+    for (uint32_t i = 0; i < n; ++i) {
+      auto ref = pool_.New();
+      EXPECT_TRUE(ref.ok());
+      std::memset(ref->data(), 0x10 + static_cast<int>(i), kPage);
+      ref->MarkDirty();
+      ids.push_back(ref->id());
+    }
+    EXPECT_TRUE(pool_.FlushAll().ok());
+    return ids;
+  }
+
+  MetricCounters metrics_;
+  MemPageFile file_;
+  BufferPool pool_;
+};
+
+TEST_F(FrozenPoolTest, HeldRefPinsNoFrameAndLendsTheFilesOwnPage) {
+  const std::vector<PageId> ids = MakePages(2);
+  ASSERT_FALSE(pool_.frozen());
+  ASSERT_TRUE(pool_.Freeze().ok());
+  EXPECT_TRUE(pool_.frozen());
+  auto ref = pool_.Fetch(ids[1]);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(pool_.pinned_frames(), 0u);
+  auto lent = file_.MapPage(ids[1]);
+  ASSERT_TRUE(lent.ok());
+  EXPECT_EQ(ref->data(), lent->data);
+  EXPECT_EQ(ref->data()[0], 0x11);
+}
+
+TEST_F(FrozenPoolTest, FirstTouchOfEachPageIsTheOneMiss) {
+  const std::vector<PageId> ids = MakePages(3);
+  ASSERT_TRUE(pool_.Freeze().ok());
+  const uint64_t hits0 = pool_.hits(), misses0 = pool_.misses();
+  const MetricCounters before = metrics_;
+  constexpr uint32_t kFetches = 10;
+  for (uint32_t i = 0; i < kFetches; ++i) {
+    auto ref = pool_.Fetch(ids[i % ids.size()]);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ(ref->data()[0], static_cast<uint8_t>(0x10 + i % ids.size()));
+  }
+  const MetricCounters delta = metrics_ - before;
+  EXPECT_EQ(pool_.misses() - misses0, ids.size());
+  EXPECT_EQ(pool_.hits() - hits0, kFetches - ids.size());
+  EXPECT_EQ(delta.disk_reads, ids.size());
+  EXPECT_EQ(delta.page_fetches, kFetches);
+  EXPECT_EQ(file_.pages_verified(), ids.size());
+  EXPECT_EQ(pool_.evictions(), 0u);
+}
+
+TEST_F(FrozenPoolTest, WritesFailTypedBeforeTouchingAPage) {
+  const std::vector<PageId> ids = MakePages(2);
+  ASSERT_TRUE(pool_.Freeze().ok());
+  EXPECT_TRUE(pool_.New().status().IsInvalidArgument());
+  EXPECT_TRUE(pool_.Free(ids[0]).IsInvalidArgument());
+  EXPECT_EQ(file_.live_page_count(), 2u);
+  SuperblockFields fields{};
+  fields[0] = 7;
+  EXPECT_TRUE(WriteSuperblock(&pool_, ids[0], SuperblockKind::kRStarTree,
+                              fields)
+                  .IsInvalidArgument());
+  std::vector<uint8_t> rd(kPage);
+  ASSERT_TRUE(file_.Read(ids[0], rd.data()).ok());
+  EXPECT_EQ(rd, std::vector<uint8_t>(kPage, 0x10));
+  EXPECT_EQ(pool_.pinned_frames(), 0u);
+}
+
+TEST_F(FrozenPoolTest, SegmentTableAppendFailsTypedWhileFrozen) {
+  MemPageFile seg_file(kPage);
+  BufferPool seg_pool(&seg_file, 4, nullptr);
+  SegmentTable table(&seg_pool, nullptr);
+  const Segment s{Point{1, 2}, Point{3, 4}};
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(table.Append(s).ok());
+  ASSERT_TRUE(table.Flush().ok());
+  ASSERT_TRUE(seg_pool.Freeze().ok());
+  EXPECT_TRUE(table.Append(s).status().IsInvalidArgument());
+  EXPECT_TRUE(table.Flush().IsInvalidArgument());
+  EXPECT_EQ(table.size(), 20u);
+  Segment got;
+  ASSERT_TRUE(table.Get(19, &got).ok());
+  EXPECT_EQ(got, s);
+  seg_pool.Thaw();
+  EXPECT_TRUE(table.Append(s).ok());
+}
+
+TEST_F(FrozenPoolTest, FreezeWithAPinnedPageFailsAndChangesNothing) {
+  const std::vector<PageId> ids = MakePages(1);
+  auto ref = pool_.Fetch(ids[0]);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_TRUE(pool_.Freeze().IsInvalidArgument());
+  EXPECT_FALSE(pool_.frozen());
+  EXPECT_TRUE(pool_.New().ok());
+  ref->Release();
+  EXPECT_TRUE(pool_.Freeze().ok());
+}
+
+TEST_F(FrozenPoolTest, FreezeWritesBackDirtyFramesFirst) {
+  auto ref = pool_.New();
+  ASSERT_TRUE(ref.ok());
+  const PageId id = ref->id();
+  std::memset(ref->data(), 0x77, kPage);
+  ref->MarkDirty();
+  ref->Release();
+  const uint64_t writes0 = metrics_.disk_writes;
+  ASSERT_TRUE(pool_.Freeze().ok());
+  EXPECT_EQ(metrics_.disk_writes - writes0, 1u);
+  auto frozen_ref = pool_.Fetch(id);
+  ASSERT_TRUE(frozen_ref.ok()) << frozen_ref.status().ToString();
+  EXPECT_EQ(frozen_ref->data()[kPage - 1], 0x77);
+}
+
+TEST_F(FrozenPoolTest, ThawReturnsToPinnedLruFrames) {
+  const std::vector<PageId> ids = MakePages(2);
+  ASSERT_TRUE(pool_.Freeze().ok());
+  pool_.Thaw();
+  EXPECT_FALSE(pool_.frozen());
+  auto ref = pool_.Fetch(ids[0]);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(pool_.pinned_frames(), 1u);
+  auto lent = file_.MapPage(ids[0]);
+  ASSERT_TRUE(lent.ok());
+  EXPECT_NE(ref->data(), lent->data);
+  EXPECT_EQ(ref->data()[0], 0x10);
+  ref->Release();
+  EXPECT_TRUE(pool_.New().ok());
+}
+
+TEST_F(FrozenPoolTest, PageRewrittenWithABadChecksumFailsItsNextFrozenFetch) {
+  const std::vector<PageId> ids = MakePages(2);
+  ASSERT_TRUE(pool_.Freeze().ok());
+  ASSERT_TRUE(pool_.Fetch(ids[0]).ok());
+  pool_.Thaw();
+  // Rewrite the page behind the pool with a checksum that does not match.
+  const std::vector<uint8_t> junk(kPage, 0x42);
+  ASSERT_TRUE(file_.Write(ids[0], junk.data(),
+                          crc32c::Compute(junk.data(), kPage) ^ 1u)
+                  .ok());
+  ASSERT_TRUE(pool_.Freeze().ok());
+  auto bad = pool_.Fetch(ids[0]);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
+  EXPECT_EQ(pool_.checksum_failures(), 1u);
+  // The untouched sibling still verifies and serves.
+  EXPECT_TRUE(pool_.Fetch(ids[1]).ok());
+}
+
+/// Fetches `pattern` through `pool`, releasing each ref before the next
+/// fetch; every held ref pins one frame.
+void FetchEach(BufferPool* pool, const std::vector<PageId>& pattern) {
+  for (PageId id : pattern) {
+    auto ref = pool->Fetch(id);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    EXPECT_EQ(pool->pinned_frames(), 1u);
+  }
+}
+
+TEST(FrozenPoolLruTest, BackendsThatCannotLendKeepExactLru) {
+  constexpr uint32_t kPage = 128;
+  const std::vector<PageId> pattern = {1, 2, 0, 1, 2};
+  const std::string path = ::testing::TempDir() + "/lsdb_frozen_lru_" +
+                           std::to_string(::getpid()) + ".pages";
+  {
+    auto posix = PosixPageFile::Create(path, kPage);
+    ASSERT_TRUE(posix.ok());
+    BufferPool pool(posix->get(), 2, nullptr);
+    for (int i = 0; i < 3; ++i) {
+      auto ref = pool.New();
+      ASSERT_TRUE(ref.ok());
+      ref->MarkDirty();
+    }
+    ASSERT_TRUE(pool.Freeze().ok());
+    ASSERT_TRUE(pool.frozen());
+    // Frames hold pages 1 and 2 (1 least recent): two hits, then every
+    // fetch misses and evicts the least recently used page.
+    const uint64_t hits0 = pool.hits(), misses0 = pool.misses();
+    const uint64_t evictions0 = pool.evictions();
+    FetchEach(&pool, pattern);
+    EXPECT_EQ(pool.hits() - hits0, 2u);
+    EXPECT_EQ(pool.misses() - misses0, 3u);
+    EXPECT_EQ(pool.evictions() - evictions0, 3u);
+    EXPECT_TRUE(pool.New().status().IsInvalidArgument());
+  }
+  std::remove(path.c_str());
+
+  const std::vector<uint8_t> slots = MappedSlots(3, kPage);
+  MmapPageFile copy_view(slots.data(), 3, kPage, /*zero_copy=*/false);
+  BufferPool pool(&copy_view, 2, nullptr);
+  EXPECT_TRUE(pool.frozen());  // a read-only backend's pool always is
+  ASSERT_TRUE(pool.Freeze().ok());
+  // Two cold misses fill the frames, then three misses evict.
+  FetchEach(&pool, pattern);
+  EXPECT_EQ(pool.misses(), 5u);
+  EXPECT_EQ(pool.evictions(), 3u);
+  EXPECT_EQ(copy_view.pages_verified(), 0u);
 }
 
 // Regression: the zero-copy path used to sleep through every backoff of an

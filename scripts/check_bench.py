@@ -206,51 +206,12 @@ def check_overload(doc, path):
         fail(f"{path}: query accounting did not balance")
 
 
-def check_simd(doc, path):
-    if not require(doc, ("bench", "county", "segments", "smoke", "threads",
-                         "queries", "isa", "isas_verified", "structures",
-                         "equivalent", "speedup_ok"), path):
-        return
-    if doc["threads"] != 1:
-        fail(f"{path}: simd bench must be single-threaded")
-    if not doc["isas_verified"]:
-        fail(f"{path}: no ISA verified against the scalar kernel")
-    order_ok = [s.get("index") for s in doc["structures"]] == ["R*", "R+"]
-    if not order_ok:
-        fail(f"{path}: expected R*, R+ entries in order")
-    for s in doc["structures"]:
-        where = f"{path} structure {s.get('index', '?')}"
-        if not require(s, ("index", "range_qps_default",
-                           "range_qps_throughput", "range_speedup",
-                           "nearest_qps_default", "nearest_qps_throughput",
-                           "equivalent"), where):
-            continue
-        for key in ("range_qps_default", "range_qps_throughput",
-                    "nearest_qps_default", "nearest_qps_throughput"):
-            if not s[key] > 0:
-                fail(f"{where}: nonpositive {key}")
-        if s["equivalent"] is not True:
-            fail(f"{where}: throughput-mode responses not equivalent")
-    if doc["equivalent"] is not True:
-        fail(f"{path}: equivalence not confirmed")
-    # Acceptance gate for committed artifacts: smoke runs only validate
-    # plumbing, a real run must show the 2x single-thread Range speedup on
-    # R* (the bench itself exits nonzero when it is missed).
-    if not doc["smoke"]:
-        if doc["speedup_ok"] is not True:
-            fail(f"{path}: speedup gate not confirmed")
-        if order_ok and doc["structures"][0].get("range_speedup", 0) < 2.0:
-            fail(f"{path}: R* range speedup "
-                 f"{doc['structures'][0].get('range_speedup')} < 2x")
-
-
 CHECKERS = {
     "service_observability": check_service,
     "bulk_build": check_build,
     "snapshot_start": check_snapshot,
     "introspect": check_introspect,
     "overload": check_overload,
-    "simd": check_simd,
 }
 
 # Tracked regression metrics: (bench kind, extractor) -> {label: value}.
@@ -274,13 +235,6 @@ def tracked_metrics(doc):
         # latencies are deadline-relative and jitter-dominated on shared
         # runners, so they are schema-checked but not regression-gated.
         out["capacity_qps"] = ("hi", doc.get("capacity_qps"))
-    elif kind == "simd":
-        for s in doc.get("structures", []):
-            idx = s.get("index", "?")
-            out[f"{idx}.range_qps_throughput"] = \
-                ("hi", s.get("range_qps_throughput"))
-            out[f"{idx}.nearest_qps_throughput"] = \
-                ("hi", s.get("nearest_qps_throughput"))
     return {k: v for k, v in out.items() if v[1] is not None}
 
 

@@ -22,9 +22,10 @@
 #         robustness suite, the lock-free zero-copy suites over a mapped
 #         snapshot and over a built service's lent in-memory pages
 #         (SnapshotConcurrencyTest, BuiltServiceConcurrencyTest), the
-#         frozen-pool storage suites (FrozenPoolTest, FrozenPoolLruTest:
-#         a read through a freed MemPageFile page is something only ASan
-#         reports), the cancelled-retry suite on both pool paths
+#         frozen-pool and frozen-index suites (FrozenPoolTest,
+#         FrozenPoolLruTest, FrozenIndexReadTest: a read through a freed
+#         MemPageFile page is something only ASan reports), the
+#         cancelled-retry suite on both pool paths
 #         (PoolRetryCancelTest), and the B-tree and PMR suites, whose
 #         reads index raw page bytes in place (BTreeCorruptionTest feeds
 #         them hostile pages with valid checksums) — which must report
@@ -38,20 +39,18 @@
 #         re-run the ENTIRE ctest suite. halt_on_error turns any UB into
 #         a test failure.
 # Tier 2d: rebuild with -DLSDB_SIMD=off (every kernel call pinned to the
-#         scalar oracle) and run the SIMD differential/equivalence, scan-
-#         cache, throughput-mode, and paper-equivalence suites — the same
-#         tests the default (native-dispatch) build already ran in Tier 1,
-#         so the suites execute with vectorization both on and off.
+#         scalar oracle) and run the SIMD differential and paper-
+#         equivalence suites — the same tests the default (native-dispatch)
+#         build already ran in Tier 1, so the suites execute with
+#         vectorization both on and off.
 # Tier 3: smoke-run the machine-readable benches — service observability
 #         (BENCH_service.json), bulk build (BENCH_build.json, whose exit
 #         status already enforces bulk-vs-incremental equivalence),
 #         snapshot cold-start (BENCH_snapshot.json, >=10x speedup
 #         enforced), query-path introspection (BENCH_introspect.json),
-#         the overload sweep (BENCH_overload.json, whose exit status
+#         and the overload sweep (BENCH_overload.json, whose exit status
 #         already enforces the bounded-p99 and accounting invariants at
-#         3x saturation), and the SIMD/throughput-mode bench
-#         (BENCH_simd.json, whose exit status enforces per-ISA scalar
-#         equivalence and default-vs-throughput response identity).
+#         3x saturation).
 # Tier 4: scripts/check_bench.py validates every generated BENCH_*.json
 #         against its schema and gates tracked throughput/latency metrics
 #         (service qps/p99, snapshot qps) against the committed baselines
@@ -80,7 +79,7 @@ ASAN_OPTIONS="halt_on_error=1" \
 cmake -B build-scalar -S . -DLSDB_SIMD=off
 cmake --build build-scalar -j"${JOBS}" --target lsdb_tests
 ./build-scalar/tests/lsdb_tests \
-  --gtest_filter='SimdTest.*:ScanCacheTest.*:ThroughputModeTest.*:Equivalence*:ExperimentTest.*'
+  --gtest_filter='SimdTest.*:Equivalence*:ExperimentTest.*'
 
 cmake -B build-ubsan -S . -DLSDB_SAN=undefined
 cmake --build build-ubsan -j"${JOBS}"
@@ -92,7 +91,6 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 ./build/bench/bench_snapshot_start --smoke Charles build/BENCH_snapshot.json 4
 ./build/bench/bench_introspect Charles 500 build/BENCH_introspect.json 4
 ./build/bench/bench_overload --smoke Charles build/BENCH_overload.json 2
-./build/bench/bench_simd --smoke Charles 400 build/BENCH_simd.json
 
 python3 scripts/check_bench.py --dir build --baseline .
 

@@ -15,7 +15,6 @@ Status SpatialIndex::Freeze() {
 }
 
 void SpatialIndex::Thaw() {
-  DropScanCache();
   if (BufferPool* pool = mutable_pool()) pool->Thaw();
   frozen_ = false;
 }
@@ -36,15 +35,6 @@ Status SpatialIndex::WindowQuery(const Rect& w,
   LSDB_RETURN_IF_ERROR(WindowQueryEx(w, &hits));
   out->reserve(out->size() + hits.size());
   for (const SegmentHit& h : hits) out->push_back(h.id);
-  return Status::OK();
-}
-
-Status SpatialIndex::WindowQueryBatch(
-    const std::vector<Rect>& ws, std::vector<std::vector<SegmentHit>>* outs) {
-  outs->assign(ws.size(), {});
-  for (size_t i = 0; i < ws.size(); ++i) {
-    LSDB_RETURN_IF_ERROR(WindowQueryEx(ws[i], &(*outs)[i]));
-  }
   return Status::OK();
 }
 

@@ -97,27 +97,6 @@ class SpatialIndex {
   /// Returns NotFound on an empty index.
   [[nodiscard]] virtual StatusOr<NearestResult> Nearest(const Point& p) = 0;
 
-  /// Runs many window queries in one call: outs->at(i) receives exactly what
-  /// WindowQueryEx(ws[i]) would produce, hits in the same order. The default
-  /// is that loop; R*/R+ override it with a shared descent that walks each
-  /// tree node once for every window still alive in its subtree ("throughput
-  /// mode"), so one materialized node answers many windows per visit.
-  [[nodiscard]] virtual Status WindowQueryBatch(
-      const std::vector<Rect>& ws, std::vector<std::vector<SegmentHit>>* outs);
-
-  /// Builds the frozen structure-of-arrays scan cache (SIMD node scans) for
-  /// structures that support one. Requires frozen(); strictly opt-in — the
-  /// default serving and paper-harness paths never call it, so their page
-  /// reads, fault-injection visibility, and Table 1/2 metrics are untouched.
-  /// Best-effort: on error the structure keeps serving from its pool.
-  [[nodiscard]] virtual Status BuildScanCache() { return Status::OK(); }
-
-  /// Releases the scan cache (no-op when absent). Thaw() calls this.
-  virtual void DropScanCache() {}
-
-  /// True when a scan cache is live and descents are answering from it.
-  virtual bool scan_cache_enabled() const { return false; }
-
   /// Writes all dirty pages back to the page file.
   [[nodiscard]] virtual Status Flush() = 0;
 
@@ -158,10 +137,9 @@ class SpatialIndex {
   /// the query service always does. Fails, leaving the index unfrozen, if
   /// the flush fails or a page is pinned. A no-op when already frozen.
   [[nodiscard]] Status Freeze();
-  /// Returns to mutable mode over the pool's LRU frames. Thaw drops any
-  /// scan cache: it is a view of the frozen tree and would go stale the
-  /// moment mutations resume. An index served from a read-only snapshot
-  /// still refuses Insert/Erase after Thaw().
+  /// Returns to mutable mode over the pool's LRU frames, which then serve
+  /// every read the lent pages served while frozen. An index served from a
+  /// read-only snapshot still refuses Insert/Erase after Thaw().
   void Thaw();
   bool frozen() const { return frozen_; }
 

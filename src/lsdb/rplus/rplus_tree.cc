@@ -5,10 +5,8 @@
 #include "lsdb/storage/superblock.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <queue>
 
 namespace lsdb {
@@ -590,13 +588,9 @@ Status RPlusTree::Erase(SegmentId id, const Segment& s) {
 }
 
 Status RPlusTree::WindowQueryRec(PageId pid, uint8_t expected_level,
-                                 const Rect& region, const Rect& w,
+                                 const Rect& w,
                                  std::unordered_set<SegmentId>* seen,
                                  std::vector<SegmentHit>* out) {
-  (void)region;
-  if (const CachedRNode* cn = scan_.Get(pid)) {
-    return WindowQueryCached(*cn, expected_level, w, seen, out);
-  }
   LSDB_RETURN_IF_CANCELLED();
   RNode node;
   LSDB_RETURN_IF_ERROR(io_.Load(pid, &node));
@@ -644,8 +638,8 @@ Status RPlusTree::WindowQueryRec(PageId pid, uint8_t expected_level,
     if (e.rect.Intersects(w)) {
       ++matched;
       LSDB_RETURN_IF_ERROR(
-          WindowQueryRec(e.child, static_cast<uint8_t>(node.level - 1),
-                         e.rect, w, seen, out));
+          WindowQueryRec(e.child, static_cast<uint8_t>(node.level - 1), w,
+                         seen, out));
     }
   }
   LSDB_INTROSPECT(OnNode(static_cast<uint32_t>(root_level_ - node.level),
@@ -653,157 +647,10 @@ Status RPlusTree::WindowQueryRec(PageId pid, uint8_t expected_level,
   return Status::OK();
 }
 
-Status RPlusTree::WindowQueryCached(const CachedRNode& cn0,
-                                    uint8_t expected_level, const Rect& w,
-                                    std::unordered_set<SegmentId>* seen,
-                                    std::vector<SegmentHit>* out) {
-  LSDB_RETURN_IF_CANCELLED();
-  if (cn0.level != expected_level) {
-    return Status::Corruption("R+-tree node level mismatch on descent");
-  }
-  const CachedRNode* cn = &cn0;
-  if (cn->leaf()) {
-    // Walk the page plus any overflow chain, resolving links through the
-    // cache (Build materializes chain pages, so a miss means the frozen
-    // tree changed under us).
-    uint64_t hops = 0;
-    for (;;) {
-      const size_t results_before = out->size();
-      uint64_t mask[kMaxNodeMaskWords];
-      simd::IntersectMask(cn->rects, w, mask);
-      CounterSink(metrics_).bbox_comps += cn->count;
-      uint64_t matched = 0;
-      for (size_t word = 0; word < cn->rects.mask_words(); ++word) {
-        uint64_t m = mask[word];
-        while (m != 0) {
-          const size_t i =
-              word * 64 + static_cast<size_t>(std::countr_zero(m));
-          m &= m - 1;
-          ++matched;
-          if (!seen->insert(cn->child[i]).second) continue;
-          Segment s;
-          LSDB_RETURN_IF_ERROR(segs_->Get(cn->child[i], &s));
-          ++CounterSink(metrics_).segment_comps;
-          if (s.IntersectsRect(w)) out->push_back(SegmentHit{cn->child[i], s});
-        }
-      }
-      LSDB_INTROSPECT(OnNode(static_cast<uint32_t>(root_level_), true,
-                             cn->count, matched,
-                             out->size() - results_before));
-      if (cn->overflow == kInvalidPageId) break;
-      if (++hops > scan_.node_count()) {
-        return Status::Corruption("R+-tree overflow chain cycle");
-      }
-      const CachedRNode* next = scan_.Get(cn->overflow);
-      if (next == nullptr || !next->leaf()) {
-        return Status::Corruption(
-            "R+-tree overflow chain reaches a non-leaf page");
-      }
-      cn = next;
-    }
-    return Status::OK();
-  }
-  uint64_t mask[kMaxNodeMaskWords];
-  simd::IntersectMask(cn->rects, w, mask);
-  CounterSink(metrics_).bbox_comps += cn->count;
-  uint64_t matched = 0;
-  for (size_t word = 0; word < cn->rects.mask_words(); ++word) {
-    uint64_t m = mask[word];
-    while (m != 0) {
-      const size_t i = word * 64 + static_cast<size_t>(std::countr_zero(m));
-      m &= m - 1;
-      ++matched;
-      LSDB_RETURN_IF_ERROR(WindowQueryRec(cn->child[i],
-                                          static_cast<uint8_t>(cn->level - 1),
-                                          cn->rects.Get(i), w, seen, out));
-    }
-  }
-  LSDB_INTROSPECT(OnNode(static_cast<uint32_t>(root_level_ - cn->level),
-                         false, cn->count, matched, 0));
-  return Status::OK();
-}
-
 Status RPlusTree::WindowQueryEx(const Rect& w,
                                 std::vector<SegmentHit>* out) {
   std::unordered_set<SegmentId> seen;
-  return WindowQueryRec(root_, root_level_, world_, w, &seen, out);
-}
-
-Status RPlusTree::WindowQueryBatchRec(
-    PageId pid, uint8_t expected_level, const std::vector<Rect>& ws,
-    const std::vector<uint32_t>& active,
-    std::vector<std::unordered_set<SegmentId>>* seen,
-    std::vector<std::vector<SegmentHit>>* outs) {
-  LSDB_RETURN_IF_CANCELLED();
-  const CachedRNode* cn = scan_.Get(pid);
-  if (cn == nullptr) {
-    // No cached view: finish each live window with the per-query descent.
-    for (uint32_t q : active) {
-      LSDB_RETURN_IF_ERROR(WindowQueryRec(pid, expected_level, world_, ws[q],
-                                          &(*seen)[q], &(*outs)[q]));
-    }
-    return Status::OK();
-  }
-  if (cn->level != expected_level) {
-    return Status::Corruption("R+-tree node level mismatch on descent");
-  }
-  if (cn->leaf()) {
-    // Each window walks the leaf (and its overflow chain) exactly as its
-    // individual descent would; the node data is simply served from the
-    // cache once for all of them.
-    for (uint32_t q : active) {
-      LSDB_RETURN_IF_ERROR(
-          WindowQueryCached(*cn, expected_level, ws[q], &(*seen)[q],
-                            &(*outs)[q]));
-    }
-    return Status::OK();
-  }
-  std::vector<uint64_t> masks(active.size() * cn->rects.mask_words());
-  for (size_t a = 0; a < active.size(); ++a) {
-    simd::IntersectMask(cn->rects, ws[active[a]],
-                        &masks[a * cn->rects.mask_words()]);
-    CounterSink(metrics_).bbox_comps += cn->count;
-  }
-  std::vector<uint32_t> child_active;
-  child_active.reserve(active.size());
-  std::vector<uint64_t> matched(active.size(), 0);
-  for (size_t i = 0; i < cn->count; ++i) {
-    child_active.clear();
-    for (size_t a = 0; a < active.size(); ++a) {
-      const uint64_t word = masks[a * cn->rects.mask_words() + i / 64];
-      if ((word >> (i % 64)) & 1u) {
-        child_active.push_back(active[a]);
-        ++matched[a];
-      }
-    }
-    if (!child_active.empty()) {
-      LSDB_RETURN_IF_ERROR(WindowQueryBatchRec(
-          cn->child[i], static_cast<uint8_t>(cn->level - 1), ws, child_active,
-          seen, outs));
-    }
-  }
-  for (size_t a = 0; a < active.size(); ++a) {
-    LSDB_INTROSPECT(OnNode(static_cast<uint32_t>(root_level_ - cn->level),
-                           false, cn->count, matched[a], 0));
-  }
-  return Status::OK();
-}
-
-Status RPlusTree::WindowQueryBatch(const std::vector<Rect>& ws,
-                                   std::vector<std::vector<SegmentHit>>* outs) {
-  outs->assign(ws.size(), {});
-  if (ws.empty()) return Status::OK();
-  std::vector<std::unordered_set<SegmentId>> seen(ws.size());
-  std::vector<uint32_t> active(ws.size());
-  std::iota(active.begin(), active.end(), 0u);
-  return WindowQueryBatchRec(root_, root_level_, ws, active, &seen, outs);
-}
-
-Status RPlusTree::BuildScanCache() {
-  if (!frozen()) {
-    return Status::InvalidArgument("scan cache requires a frozen index");
-  }
-  return scan_.Build(&io_, root_);
+  return WindowQueryRec(root_, root_level_, w, &seen, out);
 }
 
 StatusOr<NearestResult> RPlusTree::Nearest(const Point& p) {
@@ -831,48 +678,6 @@ StatusOr<NearestResult> RPlusTree::Nearest(const Point& p) {
       return NearestResult{top.id, top.dist, top.seg};
     }
     LSDB_RETURN_IF_CANCELLED();
-    if (const CachedRNode* first = scan_.Get(top.id)) {
-      // Scan-cache flavour: same candidates in the same order, no pool.
-      if (first->level != top.level) {
-        return Status::Corruption("R+-tree node level mismatch on descent");
-      }
-      const CachedRNode* cn = first;
-      uint64_t cached_hops = 0;
-      for (;;) {
-        for (size_t i = 0; i < cn->count; ++i) {
-          ++CounterSink(metrics_).bbox_comps;
-          if (cn->leaf()) {
-            if (!refined.insert(cn->child[i]).second) continue;
-            Segment s;
-            LSDB_RETURN_IF_ERROR(segs_->Get(cn->child[i], &s));
-            ++CounterSink(metrics_).segment_comps;
-            pq.push(Item{s.SquaredDistanceTo(p), kExactSegment, cn->child[i],
-                         0, s});
-          } else {
-            const double d =
-                static_cast<double>(cn->rects.Get(i).SquaredDistanceTo(p));
-            pq.push(Item{d, kNode, cn->child[i],
-                         static_cast<uint8_t>(cn->level - 1), Segment{}});
-          }
-        }
-        LSDB_INTROSPECT(OnNode(static_cast<uint32_t>(root_level_ - cn->level),
-                               cn->leaf(), cn->count, cn->count, cn->count));
-        if (cn->leaf() && cn->overflow != kInvalidPageId) {
-          if (++cached_hops > scan_.node_count()) {
-            return Status::Corruption("R+-tree overflow chain cycle");
-          }
-          const CachedRNode* next = scan_.Get(cn->overflow);
-          if (next == nullptr || !next->leaf()) {
-            return Status::Corruption(
-                "R+-tree overflow chain reaches a non-leaf page");
-          }
-          cn = next;
-          continue;
-        }
-        break;
-      }
-      continue;
-    }
     RNode node;
     LSDB_RETURN_IF_ERROR(io_.Load(top.id, &node));
     if (node.level != top.level) {

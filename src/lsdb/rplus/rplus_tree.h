@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "lsdb/index/spatial_index.h"
-#include "lsdb/rtree/node_cache.h"
 #include "lsdb/rtree/rnode.h"
 #include "lsdb/seg/segment_table.h"
 #include "lsdb/storage/buffer_pool.h"
@@ -74,17 +73,6 @@ class RPlusTree : public SpatialIndex {
   [[nodiscard]] Status Erase(SegmentId id, const Segment& s) override;
   [[nodiscard]] Status WindowQueryEx(const Rect& w, std::vector<SegmentHit>* out) override;
   [[nodiscard]] StatusOr<NearestResult> Nearest(const Point& p) override;
-  /// Shared multi-window descent (throughput mode); see RStarTree. Each
-  /// window keeps its own dedup set, so results match per-query execution.
-  [[nodiscard]] Status WindowQueryBatch(
-      const std::vector<Rect>& ws,
-      std::vector<std::vector<SegmentHit>>* outs) override;
-
-  /// SoA scan cache over the frozen tree (SIMD node scans; includes leaf
-  /// overflow-chain pages). See rtree/node_cache.h; requires frozen().
-  [[nodiscard]] Status BuildScanCache() override;
-  void DropScanCache() override { scan_.Clear(); }
-  bool scan_cache_enabled() const override { return scan_.enabled(); }
   /// Persists the superblock and all dirty pages.
   [[nodiscard]] Status Flush() override;
   uint64_t bytes() const override {
@@ -151,22 +139,9 @@ class RPlusTree : public SpatialIndex {
   [[nodiscard]] Status EraseRec(PageId pid, const Rect& region, SegmentId id,
                   const Segment& s, bool* found);
   [[nodiscard]] Status WindowQueryRec(PageId pid, uint8_t expected_level,
-                        const Rect& region, const Rect& w,
-                        std::unordered_set<SegmentId>* seen,
-                        std::vector<SegmentHit>* out);
-  /// Scan-cache flavour of WindowQueryRec (SIMD mask over SoA lanes,
-  /// overflow chains resolved through the cache).
-  [[nodiscard]] Status WindowQueryCached(const CachedRNode& cn,
-                                         uint8_t expected_level, const Rect& w,
-                                         std::unordered_set<SegmentId>* seen,
-                                         std::vector<SegmentHit>* out);
-  /// Shared descent for WindowQueryBatch; `active` lists the windows still
-  /// alive at this subtree, `seen` is indexed by window id.
-  [[nodiscard]] Status WindowQueryBatchRec(
-      PageId pid, uint8_t expected_level, const std::vector<Rect>& ws,
-      const std::vector<uint32_t>& active,
-      std::vector<std::unordered_set<SegmentId>>* seen,
-      std::vector<std::vector<SegmentHit>>* outs);
+                                      const Rect& w,
+                                      std::unordered_set<SegmentId>* seen,
+                                      std::vector<SegmentHit>* out);
   [[nodiscard]] Status CheckRec(PageId pid, uint8_t expected_level, const Rect& region,
                   uint32_t* pages, std::unordered_set<SegmentId>* distinct);
   [[nodiscard]] Status VisitNodesRec(
@@ -179,7 +154,6 @@ class RPlusTree : public SpatialIndex {
   BufferPool pool_;
   RNodeIO io_;
   SegmentTable* segs_;
-  FrozenNodeCache scan_;  ///< SoA node views; empty unless BuildScanCache().
 
   Rect world_;
   PageId root_ = kInvalidPageId;

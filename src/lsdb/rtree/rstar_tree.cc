@@ -5,10 +5,8 @@
 #include "lsdb/storage/superblock.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <queue>
 
 namespace lsdb {
@@ -483,9 +481,6 @@ Status RStarTree::Erase(SegmentId id, const Segment& s) {
 Status RStarTree::WindowQueryRec(PageId pid, uint8_t expected_level,
                                  const Rect& w,
                                  std::vector<SegmentHit>* out) {
-  if (const CachedRNode* cn = scan_.Get(pid)) {
-    return WindowQueryCached(*cn, expected_level, w, out);
-  }
   LSDB_RETURN_IF_CANCELLED();
   RNode node;
   LSDB_RETURN_IF_ERROR(io_.Load(pid, &node));
@@ -516,147 +511,9 @@ Status RStarTree::WindowQueryRec(PageId pid, uint8_t expected_level,
   return Status::OK();
 }
 
-Status RStarTree::WindowQueryCached(const CachedRNode& cn,
-                                    uint8_t expected_level, const Rect& w,
-                                    std::vector<SegmentHit>* out) {
-  LSDB_RETURN_IF_CANCELLED();
-  if (cn.level != expected_level) {
-    return Status::Corruption("R*-tree node level mismatch on descent");
-  }
-  const size_t results_before = out->size();
-  // One vector kernel call replaces the per-entry scalar test; the logical
-  // work is the same, so bbox_comps advances by the full entry count
-  // exactly as the scalar loop would.
-  uint64_t mask[kMaxNodeMaskWords];
-  simd::IntersectMask(cn.rects, w, mask);
-  CounterSink(metrics_).bbox_comps += cn.count;
-  uint64_t matched = 0;
-  for (size_t word = 0; word < cn.rects.mask_words(); ++word) {
-    uint64_t m = mask[word];
-    while (m != 0) {
-      const size_t i = word * 64 + static_cast<size_t>(std::countr_zero(m));
-      m &= m - 1;
-      ++matched;
-      if (cn.leaf()) {
-        Segment s;
-        LSDB_RETURN_IF_ERROR(segs_->Get(cn.child[i], &s));
-        ++CounterSink(metrics_).segment_comps;
-        if (s.IntersectsRect(w)) out->push_back(SegmentHit{cn.child[i], s});
-      } else {
-        LSDB_RETURN_IF_ERROR(WindowQueryRec(
-            cn.child[i], static_cast<uint8_t>(cn.level - 1), w, out));
-      }
-    }
-  }
-  LSDB_INTROSPECT(OnNode(static_cast<uint32_t>(root_level_ - cn.level),
-                         cn.leaf(), cn.count, matched,
-                         out->size() - results_before));
-  return Status::OK();
-}
-
 Status RStarTree::WindowQueryEx(const Rect& w,
                                 std::vector<SegmentHit>* out) {
   return WindowQueryRec(root_, root_level_, w, out);
-}
-
-Status RStarTree::WindowQueryBatchRec(
-    PageId pid, uint8_t expected_level, const std::vector<Rect>& ws,
-    const std::vector<uint32_t>& active,
-    std::vector<std::vector<SegmentHit>>* outs) {
-  LSDB_RETURN_IF_CANCELLED();
-  const CachedRNode* cn = scan_.Get(pid);
-  if (cn == nullptr) {
-    // No cached view of this node: finish each live window with the
-    // per-query descent (streams through the pool as usual).
-    for (uint32_t q : active) {
-      LSDB_RETURN_IF_ERROR(WindowQueryRec(pid, expected_level, ws[q],
-                                          &(*outs)[q]));
-    }
-    return Status::OK();
-  }
-  if (cn->level != expected_level) {
-    return Status::Corruption("R*-tree node level mismatch on descent");
-  }
-  if (cn->leaf()) {
-    for (uint32_t q : active) {
-      std::vector<SegmentHit>* out = &(*outs)[q];
-      const size_t results_before = out->size();
-      uint64_t mask[kMaxNodeMaskWords];
-      simd::IntersectMask(cn->rects, ws[q], mask);
-      CounterSink(metrics_).bbox_comps += cn->count;
-      uint64_t matched = 0;
-      for (size_t word = 0; word < cn->rects.mask_words(); ++word) {
-        uint64_t m = mask[word];
-        while (m != 0) {
-          const size_t i =
-              word * 64 + static_cast<size_t>(std::countr_zero(m));
-          m &= m - 1;
-          ++matched;
-          // Fetched once per (window, entry) match, exactly as per-query
-          // execution would, so segment_comps stays comparable.
-          Segment s;
-          LSDB_RETURN_IF_ERROR(segs_->Get(cn->child[i], &s));
-          ++CounterSink(metrics_).segment_comps;
-          if (s.IntersectsRect(ws[q])) {
-            out->push_back(SegmentHit{cn->child[i], s});
-          }
-        }
-      }
-      LSDB_INTROSPECT(OnNode(static_cast<uint32_t>(root_level_), true,
-                             cn->count, matched,
-                             out->size() - results_before));
-    }
-    return Status::OK();
-  }
-  // Internal node: compute each live window's child mask once, then recurse
-  // child-major (entry order) with the subset of windows that reach each
-  // child. Per-window this visits exactly the children its individual DFS
-  // would, in the same order, so results and counters match per-query runs.
-  std::vector<uint64_t> masks(active.size() * cn->rects.mask_words());
-  for (size_t a = 0; a < active.size(); ++a) {
-    simd::IntersectMask(cn->rects, ws[active[a]],
-                        &masks[a * cn->rects.mask_words()]);
-    CounterSink(metrics_).bbox_comps += cn->count;
-  }
-  std::vector<uint32_t> child_active;
-  child_active.reserve(active.size());
-  std::vector<uint64_t> matched(active.size(), 0);
-  for (size_t i = 0; i < cn->count; ++i) {
-    child_active.clear();
-    for (size_t a = 0; a < active.size(); ++a) {
-      const uint64_t word = masks[a * cn->rects.mask_words() + i / 64];
-      if ((word >> (i % 64)) & 1u) {
-        child_active.push_back(active[a]);
-        ++matched[a];
-      }
-    }
-    if (!child_active.empty()) {
-      LSDB_RETURN_IF_ERROR(WindowQueryBatchRec(
-          cn->child[i], static_cast<uint8_t>(cn->level - 1), ws, child_active,
-          outs));
-    }
-  }
-  for (size_t a = 0; a < active.size(); ++a) {
-    LSDB_INTROSPECT(OnNode(static_cast<uint32_t>(root_level_ - cn->level),
-                           false, cn->count, matched[a], 0));
-  }
-  return Status::OK();
-}
-
-Status RStarTree::WindowQueryBatch(const std::vector<Rect>& ws,
-                                   std::vector<std::vector<SegmentHit>>* outs) {
-  outs->assign(ws.size(), {});
-  if (ws.empty()) return Status::OK();
-  std::vector<uint32_t> active(ws.size());
-  std::iota(active.begin(), active.end(), 0u);
-  return WindowQueryBatchRec(root_, root_level_, ws, active, outs);
-}
-
-Status RStarTree::BuildScanCache() {
-  if (!frozen()) {
-    return Status::InvalidArgument("scan cache requires a frozen index");
-  }
-  return scan_.Build(&io_, root_);
 }
 
 StatusOr<NearestResult> RStarTree::Nearest(const Point& p) {
@@ -686,30 +543,6 @@ StatusOr<NearestResult> RStarTree::Nearest(const Point& p) {
       return NearestResult{top.id, top.dist, top.seg};
     }
     LSDB_RETURN_IF_CANCELLED();
-    if (const CachedRNode* cn = scan_.Get(top.id)) {
-      // Scan-cache flavour: same candidates in the same order, no pool.
-      if (cn->level != top.level) {
-        return Status::Corruption("R*-tree node level mismatch on descent");
-      }
-      for (size_t i = 0; i < cn->count; ++i) {
-        ++CounterSink(metrics_).bbox_comps;
-        if (cn->leaf()) {
-          Segment s;
-          LSDB_RETURN_IF_ERROR(segs_->Get(cn->child[i], &s));
-          ++CounterSink(metrics_).segment_comps;
-          pq.push(Item{s.SquaredDistanceTo(p), kExactSegment, cn->child[i], 0,
-                       s});
-        } else {
-          const double d =
-              static_cast<double>(cn->rects.Get(i).SquaredDistanceTo(p));
-          pq.push(Item{d, kNode, cn->child[i],
-                       static_cast<uint8_t>(cn->level - 1), Segment{}});
-        }
-      }
-      LSDB_INTROSPECT(OnNode(static_cast<uint32_t>(root_level_ - cn->level),
-                             cn->leaf(), cn->count, cn->count, cn->count));
-      continue;
-    }
     RNode node;
     LSDB_RETURN_IF_ERROR(io_.Load(top.id, &node));
     if (node.level != top.level) {

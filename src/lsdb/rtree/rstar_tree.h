@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "lsdb/index/spatial_index.h"
-#include "lsdb/rtree/node_cache.h"
 #include "lsdb/rtree/rnode.h"
 #include "lsdb/seg/segment_table.h"
 #include "lsdb/storage/buffer_pool.h"
@@ -56,18 +55,6 @@ class RStarTree : public SpatialIndex {
   [[nodiscard]] Status Erase(SegmentId id, const Segment& s) override;
   [[nodiscard]] Status WindowQueryEx(const Rect& w, std::vector<SegmentHit>* out) override;
   [[nodiscard]] StatusOr<NearestResult> Nearest(const Point& p) override;
-  /// Shared multi-window descent (throughput mode): every node is visited
-  /// once for all windows alive in its subtree; per-window results and
-  /// bbox/segment comparison counts are identical to per-query execution.
-  [[nodiscard]] Status WindowQueryBatch(
-      const std::vector<Rect>& ws,
-      std::vector<std::vector<SegmentHit>>* outs) override;
-
-  /// SoA scan cache over the frozen tree (SIMD node scans). See
-  /// rtree/node_cache.h; requires frozen().
-  [[nodiscard]] Status BuildScanCache() override;
-  void DropScanCache() override { scan_.Clear(); }
-  bool scan_cache_enabled() const override { return scan_.enabled(); }
   /// Persists the superblock and all dirty pages.
   [[nodiscard]] Status Flush() override;
   uint64_t bytes() const override {
@@ -121,16 +108,6 @@ class RStarTree : public SpatialIndex {
                       std::vector<PageId>* path, bool* found);
   [[nodiscard]] Status WindowQueryRec(PageId pid, uint8_t expected_level, const Rect& w,
                         std::vector<SegmentHit>* out);
-  /// Scan-cache flavour of WindowQueryRec (SIMD mask over SoA lanes).
-  [[nodiscard]] Status WindowQueryCached(const CachedRNode& cn,
-                                         uint8_t expected_level, const Rect& w,
-                                         std::vector<SegmentHit>* out);
-  /// Shared descent for WindowQueryBatch: `active` lists the windows still
-  /// alive at this subtree.
-  [[nodiscard]] Status WindowQueryBatchRec(PageId pid, uint8_t expected_level,
-                                           const std::vector<Rect>& ws,
-                                           const std::vector<uint32_t>& active,
-                                           std::vector<std::vector<SegmentHit>>* outs);
   [[nodiscard]] Status VisitNodesRec(
       PageId pid, uint8_t expected_level,
       const std::function<void(uint32_t depth, const RNode& node)>& fn);
@@ -142,7 +119,6 @@ class RStarTree : public SpatialIndex {
   BufferPool pool_;
   RNodeIO io_;
   SegmentTable* segs_;
-  FrozenNodeCache scan_;  ///< SoA node views; empty unless BuildScanCache().
 
   PageId root_ = kInvalidPageId;
   uint8_t root_level_ = 0;

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "lsdb/storage/superblock.h"
-#include "lsdb/util/query_context.h"
 
 namespace lsdb {
 
@@ -59,33 +58,9 @@ Status SegmentTable::Flush() {
   return pool_->FlushAll();
 }
 
-Status SegmentTable::BuildFlatCache() {
-  // Redirect the decode walk's counters to a scratch so building the cache
-  // never moves the paper's segment-comparison accounting.
-  MetricCounters scratch;
-  ScopedQueryContext scoped({.counters = &scratch});
-  flat_.clear();
-  flat_.reserve(count_);
-  for (SegmentId id = 0; id < count_; ++id) {
-    const PageId page = 1 + id / per_page_;
-    const uint32_t slot = id % per_page_;
-    auto ref = pool_->Fetch(page);
-    if (!ref.ok()) {
-      flat_.clear();
-      return ref.status();
-    }
-    Segment s;
-    DecodeSegment(ref->data() + slot * kRecordSize, &s);
-    flat_.push_back(s);
-  }
-  return Status::OK();
-}
-
 StatusOr<SegmentId> SegmentTable::Append(const Segment& s) {
   // A frozen pool may lend the backend's own page: refuse before writing.
   LSDB_RETURN_IF_ERROR(pool_->CheckWritable());
-  // Any append invalidates the frozen flat cache (no-op when absent).
-  flat_.clear();
   if (!has_superblock_) {
     // Reserve page 0 for the superblock before the first record page.
     auto sb = pool_->New();
@@ -114,10 +89,6 @@ StatusOr<SegmentId> SegmentTable::Append(const Segment& s) {
 Status SegmentTable::Get(SegmentId id, Segment* out) {
   if (id >= count_) return Status::InvalidArgument("segment id out of range");
   if (MetricCounters* m = CounterSink(metrics_)) ++m->segment_comps;
-  if (!flat_.empty()) {
-    *out = flat_[id];
-    return Status::OK();
-  }
   const PageId page = 1 + id / per_page_;
   const uint32_t slot = id % per_page_;
   auto ref = pool_->Fetch(page);

@@ -17,7 +17,6 @@
 #define LSDB_SEG_SEGMENT_TABLE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "lsdb/geom/segment.h"
 #include "lsdb/storage/buffer_pool.h"
@@ -53,17 +52,6 @@ class SegmentTable {
   /// in-memory or snapshot-served table) the fetch takes no lock.
   [[nodiscard]] Status Get(SegmentId id, Segment* out);
 
-  /// Rematerializes every record into a flat in-memory array; subsequent
-  /// Get() calls serve from it without touching the buffer pool. Strictly
-  /// opt-in (QueryService builds it only in throughput mode): the paper
-  /// harness and fault-injection paths depend on Get() reaching the pool.
-  /// Counter accounting is unchanged — a cached Get() still counts one
-  /// segment comparison — and the build itself redirects its counters to a
-  /// scratch sink. Dropped automatically by the next Append().
-  [[nodiscard]] Status BuildFlatCache();
-  void DropFlatCache() { flat_.clear(); }
-  bool flat_cache_enabled() const { return !flat_.empty(); }
-
   /// Number of stored segments.
   uint32_t size() const { return count_; }
   /// Bytes occupied (live pages * page size).
@@ -82,7 +70,6 @@ class SegmentTable {
   uint32_t count_ = 0;
   bool has_superblock_ = false;
   PageId last_page_ = kInvalidPageId;
-  std::vector<Segment> flat_;  ///< Read-only cache; empty unless built.
 };
 
 }  // namespace lsdb

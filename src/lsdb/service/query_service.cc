@@ -1,10 +1,8 @@
 #include "lsdb/service/query_service.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "lsdb/build/bulk_loader.h"
-#include "lsdb/geom/morton.h"
 #include "lsdb/query/incident.h"
 #include "lsdb/snapshot/snapshot_writer.h"
 #include "lsdb/util/mutex.h"
@@ -406,22 +404,11 @@ Status QueryService::BuildIndexes(const PolygonalMap& map) {
     }
     // Flushes the structure, then serves its in-memory pages zero-copy.
     LSDB_RETURN_IF_ERROR(idx->Freeze());
-    // Throughput mode: rematerialize the frozen tree into the SoA scan
-    // cache (no-op for structures without one). Fault injectors are armed
-    // only after this, so the cache never absorbs an injected fault.
-    if (options_.throughput_mode) {
-      LSDB_RETURN_IF_ERROR(idx->BuildScanCache());
-    }
   }
   // The segment table is read by every refinement: flush it and serve it
   // zero-copy too.
   LSDB_RETURN_IF_ERROR(segs_->Flush());
   LSDB_RETURN_IF_ERROR(seg_pool_->Freeze());
-  // Throughput mode also flattens the frozen table so Get() skips the
-  // fetch + decode.
-  if (options_.throughput_mode) {
-    LSDB_RETURN_IF_ERROR(segs_->BuildFlatCache());
-  }
   if (options_.inject_faults) ArmFaultInjectors();
   return Status::OK();
 }
@@ -488,15 +475,6 @@ Status QueryService::OpenIndexesFromSnapshot(bool zero_copy) {
         static_cast<SpatialIndex*>(rplus_.get()),
         static_cast<SpatialIndex*>(pmr_.get())}) {
     LSDB_RETURN_IF_ERROR(idx->Freeze());
-    // SoA sidecar rebuild on mmap open: the snapshot file carries only the
-    // paged images, so throughput mode re-derives the scan cache from the
-    // mapping here (verify-on-first-touch runs during this walk).
-    if (options_.throughput_mode) {
-      LSDB_RETURN_IF_ERROR(idx->BuildScanCache());
-    }
-  }
-  if (options_.throughput_mode) {
-    LSDB_RETURN_IF_ERROR(segs_->BuildFlatCache());
   }
   if (options_.inject_faults) ArmFaultInjectors();
   return Status::OK();
@@ -528,17 +506,6 @@ uint64_t NanosSince(Clock::time_point t0) {
 struct alignas(64) PaddedCounters {
   MetricCounters c;
 };
-
-/// Spatial sort key for throughput-mode grouping: Hilbert index of the
-/// request window's center, clamped to the 16-bit curve domain.
-uint64_t GroupedWindowKey(const QueryRequest& q) {
-  const Rect w =
-      q.type == QueryType::kWindow ? q.window : Rect::AtPoint(q.point);
-  const Point c = w.Center();
-  const uint32_t x = static_cast<uint32_t>(std::clamp<Coord>(c.x, 0, 65535));
-  const uint32_t y = static_cast<uint32_t>(std::clamp<Coord>(c.y, 0, 65535));
-  return HilbertEncode(16, x, y);
-}
 }  // namespace
 
 Status QueryService::BreakerGate(ServedIndex which) {
@@ -648,12 +615,13 @@ void QueryService::Observe(uint32_t worker, ServedIndex which, QueryType type,
 
 StatusOr<BatchResult> QueryService::ExecuteBatch(
     ServedIndex which, const std::vector<QueryRequest>& batch) {
-  SpatialIndex* idx = index(which);
-  if (idx == nullptr) return Status::InvalidArgument("unknown index");
+  if (index(which) == nullptr) {
+    return Status::InvalidArgument("unknown index");
+  }
   BatchResult out;
   out.responses.resize(batch.size());
   std::vector<PaddedCounters> locals(workers_->size());
-  const auto serve = [&](uint32_t worker, uint64_t i) {
+  workers_->ParallelFor(batch.size(), [&](uint32_t worker, uint64_t i) {
     // The introspection toggle is re-read per query, so a live flip takes
     // effect at the next query boundary.
     QueryRecord rec(introspection());
@@ -663,78 +631,7 @@ StatusOr<BatchResult> QueryService::ExecuteBatch(
     r.latency_ns = NanosSince(t0);
     locals[worker].c += rec.counters;
     Observe(worker, which, batch[i].type, r.latency_ns, rec);
-  };
-  if (!options_.throughput_mode) {
-    workers_->ParallelFor(batch.size(), serve);
-  } else {
-    // -- Throughput mode ----------------------------------------------------
-    // Window and point queries without deadline/cancel tokens are grouped
-    // and executed through the shared multi-window descent; everything else
-    // (nearest, incident, token-carrying requests) keeps the per-query path
-    // so cancellation checkpoints fire exactly as in the default mode.
-    std::vector<uint32_t> grouped, solo;
-    grouped.reserve(batch.size());
-    for (uint32_t i = 0; i < batch.size(); ++i) {
-      const QueryRequest& q = batch[i];
-      const bool groupable =
-          (q.type == QueryType::kWindow || q.type == QueryType::kPoint) &&
-          q.deadline_ns == 0 && q.cancel == nullptr;
-      (groupable ? grouped : solo).push_back(i);
-    }
-    // Sort groups by the Hilbert index of the window center: windows close
-    // on the curve descend the same subtrees, so the contiguous chunk each
-    // worker takes shares node visits ("one pinned node answers many
-    // windows per visit").
-    std::stable_sort(grouped.begin(), grouped.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return GroupedWindowKey(batch[a]) <
-                              GroupedWindowKey(batch[b]);
-                     });
-    if (!grouped.empty()) {
-      const uint32_t nchunks = static_cast<uint32_t>(
-          std::min<size_t>(workers_->size(), grouped.size()));
-      workers_->ParallelFor(nchunks, [&](uint32_t worker, uint64_t c) {
-        ScopedQueryContext scope({.counters = &locals[worker].c});
-        const size_t begin = grouped.size() * c / nchunks;
-        const size_t end = grouped.size() * (c + 1) / nchunks;
-        std::vector<Rect> ws;
-        std::vector<uint32_t> ids;  // Original request index per window.
-        ws.reserve(end - begin);
-        ids.reserve(end - begin);
-        for (size_t k = begin; k < end; ++k) {
-          const uint32_t i = grouped[k];
-          // One breaker ticket per request, exactly as RunQuery takes.
-          out.responses[i].status = BreakerGate(which);
-          if (!out.responses[i].status.ok()) continue;
-          ids.push_back(i);
-          ws.push_back(batch[i].type == QueryType::kWindow
-                           ? batch[i].window
-                           : Rect::AtPoint(batch[i].point));
-        }
-        if (ids.empty()) return;
-        const Clock::time_point t0 = Clock::now();
-        std::vector<std::vector<SegmentHit>> hits;
-        const Status s = idx->WindowQueryBatch(ws, &hits);
-        // The group executed as one descent; attribute the amortized share
-        // to each request (documented in DESIGN.md §15).
-        const uint64_t ns = NanosSince(t0) / ids.size();
-        for (size_t k = 0; k < ids.size(); ++k) {
-          const uint32_t i = ids[k];
-          QueryResponse& r = out.responses[i];
-          r.status = s;
-          if (s.ok()) r.hits = std::move(hits[k]);
-          r.latency_ns = ns;
-          histogram(which, batch[i].type)->Record(worker, ns);
-          RecordBreakerOutcome(which, s);
-        }
-      });
-    }
-    if (!solo.empty()) {
-      workers_->ParallelFor(solo.size(), [&](uint32_t worker, uint64_t k) {
-        serve(worker, solo[k]);
-      });
-    }
-  }
+  });
   out.per_worker.reserve(locals.size());
   for (const PaddedCounters& pc : locals) {
     out.per_worker.push_back(pc.c);

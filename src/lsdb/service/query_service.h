@@ -11,7 +11,9 @@
 // Build flushes and freezes every structure and the segment table, whose
 // pools then serve their in-memory pages zero-copy with no lock, exactly
 // as a zero-copy snapshot service serves its mapping (a pool-copy snapshot
-// service keeps the locked LRU frames). Frozen indexes reject Insert/Erase,
+// service keeps the locked LRU frames). Either way every page a query reads
+// goes through BufferPool::Fetch, so no read bypasses the fault injector or
+// the pool's disk-access count. Frozen indexes reject Insert/Erase,
 // and every query runs under its own QueryContext (util/query_context.h),
 // whose private counters receive its metrics — the index-owned counters
 // have a single writer and are not touched while serving, and the
@@ -73,22 +75,6 @@ struct ServiceOptions {
   /// (src/lsdb/build/) instead of one-at-a-time insertion. Served query
   /// results are identical; startup is much faster on large maps.
   bool bulk_build = false;
-  /// Throughput mode (SIMD node scans + grouped batch execution). After
-  /// Freeze() — including snapshot opens, where the sidecar is rebuilt over
-  /// the mapping — every R*/R+ node is rematerialized into an in-memory
-  /// structure-of-arrays scan cache (rtree/node_cache.h): descents skip the
-  /// buffer pool and test child MBRs with one SIMD IntersectMask per node.
-  /// ExecuteBatch additionally groups a batch's window/point queries by
-  /// spatial locality and runs each group down the tree in one shared
-  /// descent, so a node is materialized once for many windows. Responses
-  /// are identical to the default path (pinned by equivalence tests);
-  /// requests carrying deadlines or cancel tokens keep the per-query path
-  /// so their cancellation checkpoints behave identically. Off by default:
-  /// the default path sends every page read through the buffer pool (lent
-  /// zero-copy pages on a built or zero-copy snapshot service), where the
-  /// fault injector and the first-touch disk-access accounting see it (a
-  /// cached descent would never see an injected page fault).
-  bool throughput_mode = false;
 
   /// If non-empty, the service opens a Tracer on this file and emits one
   /// JSONL span per served query plus sampled buffer-pool events. Empty
@@ -161,7 +147,9 @@ class QueryService {
   /// Executes `batch` on `which` across the worker pool. Response i
   /// corresponds to request i; per-request errors are reported in
   /// QueryResponse::status (the call itself only fails on empty service
-  /// misuse). Responses are identical to ExecuteBatchSequential.
+  /// misuse). Responses are identical to ExecuteBatchSequential. Every
+  /// query runs through RunQuery and is recorded by Observe: its latency,
+  /// its profile while introspection is on, and a span when tracing.
   [[nodiscard]] StatusOr<BatchResult> ExecuteBatch(ServedIndex which,
                                      const std::vector<QueryRequest>& batch);
 

@@ -1,31 +1,22 @@
-// SIMD kernel and scan-cache tests: the differential fuzz suite that pins
-// every compiled ISA to the scalar oracle, the frozen-node-cache
-// equivalence/counter-identity suite for R* and R+, the Table 1/2
-// byte-equivalence run with SIMD forced on, and the throughput-mode
-// QueryService equivalence test.
+// SIMD kernel tests: the differential fuzz suite that pins every compiled
+// ISA to the scalar oracle, and the Table 1/2 byte-equivalence run with
+// each ISA forced. No library code calls the kernels; they stay because the
+// benchmark's environment header reports the ISA in use.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "lsdb/data/county_generator.h"
 #include "lsdb/harness/experiment.h"
-#include "lsdb/rplus/rplus_tree.h"
-#include "lsdb/rtree/rstar_tree.h"
-#include "lsdb/seg/segment_table.h"
-#include "lsdb/service/query_service.h"
 #include "lsdb/simd/simd.h"
 #include "lsdb/util/random.h"
-#include "test_util.h"
 
 namespace lsdb {
 namespace {
-
-using testing::Ids;
-using testing::RandomSegments;
-using testing::Sorted;
 
 // -- Differential fuzz: every ISA vs the scalar oracle -----------------------
 
@@ -164,178 +155,6 @@ TEST(SimdTest, DifferentialFuzz10kBatchesAllIsasMatchOracle) {
   simd::ResetIsa();
 }
 
-// -- Frozen scan cache: equivalence and counter identity ---------------------
-
-/// In-memory R* tree over a small random table (mirrors rstar_test.cc's
-/// fixture; redeclared here because that one lives in its own anonymous
-/// namespace).
-struct RStarFixtureForSimd {
-  RStarFixtureForSimd()
-      : options(SmallOptions()),
-        seg_file(options.page_size),
-        seg_pool(&seg_file, options.buffer_frames, nullptr),
-        table(&seg_pool, nullptr),
-        file(options.page_size),
-        tree(options, &file, &table) {
-    EXPECT_TRUE(tree.Init().ok());
-  }
-
-  static IndexOptions SmallOptions() {
-    IndexOptions opt;
-    opt.page_size = 256;  // M = 12: forces a multi-level tree at 800 segs
-    opt.world_log2 = 10;
-    return opt;
-  }
-
-  void Add(const Segment& s) {
-    auto id = table.Append(s);
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(tree.Insert(*id, s).ok());
-  }
-
-  IndexOptions options;
-  MemPageFile seg_file;
-  BufferPool seg_pool;
-  SegmentTable table;
-  MemPageFile file;
-  RStarTree tree;
-};
-
-/// Same, for R+ (whose leaves add overflow chains to the cache walk).
-struct RPlusFixtureForSimd {
-  RPlusFixtureForSimd()
-      : options(RStarFixtureForSimd::SmallOptions()),
-        seg_file(options.page_size),
-        seg_pool(&seg_file, options.buffer_frames, nullptr),
-        table(&seg_pool, nullptr),
-        file(options.page_size),
-        tree(options, &file, &table, RPlusSplitPolicy::kMinCut) {
-    EXPECT_TRUE(tree.Init().ok());
-  }
-
-  void Add(const Segment& s) {
-    auto id = table.Append(s);
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(tree.Insert(*id, s).ok());
-  }
-
-  IndexOptions options;
-  MemPageFile seg_file;
-  BufferPool seg_pool;
-  SegmentTable table;
-  MemPageFile file;
-  RPlusTree tree;
-};
-
-/// Window/nearest workload against one index; returns sorted ids per query
-/// and the counter delta the workload produced.
-struct WorkloadResult {
-  std::vector<std::vector<SegmentId>> window_hits;
-  std::vector<std::vector<SegmentId>> batch_hits;
-  std::vector<SegmentId> nearest_ids;
-  MetricCounters delta;
-};
-
-std::vector<Rect> FuzzWindows(uint64_t seed, size_t n, Coord world) {
-  Rng rng(seed);
-  std::vector<Rect> ws;
-  ws.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Coord x = static_cast<Coord>(rng.Uniform(world));
-    const Coord y = static_cast<Coord>(rng.Uniform(world));
-    const Coord dx = static_cast<Coord>(rng.Uniform(world / 4));
-    const Coord dy = static_cast<Coord>(rng.Uniform(world / 4));
-    ws.push_back(Rect::Of(x, y, x + dx, y + dy));
-  }
-  // Edge cases: degenerate point window, whole world, empty (inverted).
-  ws.push_back(Rect::Of(world / 2, world / 2, world / 2, world / 2));
-  ws.push_back(Rect::Of(0, 0, world, world));
-  ws.push_back(Rect{});  // default: empty
-  return ws;
-}
-
-WorkloadResult RunWorkload(SpatialIndex* idx, const std::vector<Rect>& ws,
-                           Coord world) {
-  WorkloadResult r;
-  const MetricCounters before = idx->metrics();
-  for (const Rect& w : ws) {
-    std::vector<SegmentHit> hits;
-    EXPECT_TRUE(idx->WindowQueryEx(w, &hits).ok());
-    r.window_hits.push_back(Sorted(Ids(hits)));
-  }
-  std::vector<std::vector<SegmentHit>> outs;
-  EXPECT_TRUE(idx->WindowQueryBatch(ws, &outs).ok());
-  for (const auto& hits : outs) r.batch_hits.push_back(Sorted(Ids(hits)));
-  Rng rng(99);
-  for (int i = 0; i < 50; ++i) {
-    const Point p{static_cast<Coord>(rng.Uniform(world)),
-                  static_cast<Coord>(rng.Uniform(world))};
-    auto nn = idx->Nearest(p);
-    EXPECT_TRUE(nn.ok());
-    r.nearest_ids.push_back(nn.ok() ? nn->id : kInvalidSegmentId);
-  }
-  r.delta = idx->metrics() - before;
-  return r;
-}
-
-template <typename Fixture>
-void ScanCacheEquivalenceImpl() {
-  Fixture f;
-  Rng rng(31);
-  for (const Segment& s : RandomSegments(&rng, 800, 1024, 96)) f.Add(s);
-  ASSERT_TRUE(f.tree.Freeze().ok());
-  const std::vector<Rect> ws = FuzzWindows(7, 120, 1024);
-
-  ASSERT_FALSE(f.tree.scan_cache_enabled());
-  const WorkloadResult pool = RunWorkload(&f.tree, ws, 1024);
-
-  // Counter purity: building the cache walks every page but must not move
-  // the index-owned paper counters.
-  const MetricCounters pre_build = f.tree.metrics();
-  ASSERT_TRUE(f.tree.BuildScanCache().ok());
-  ASSERT_TRUE(f.tree.scan_cache_enabled());
-  const MetricCounters build_delta = f.tree.metrics() - pre_build;
-  EXPECT_EQ(build_delta.page_fetches, 0u);
-  EXPECT_EQ(build_delta.disk_reads, 0u);
-  EXPECT_EQ(build_delta.bbox_comps, 0u);
-  EXPECT_EQ(build_delta.segment_comps, 0u);
-
-  const WorkloadResult cached = RunWorkload(&f.tree, ws, 1024);
-
-  // Identical results...
-  ASSERT_EQ(cached.window_hits, pool.window_hits);
-  ASSERT_EQ(cached.batch_hits, pool.batch_hits);
-  ASSERT_EQ(cached.nearest_ids, pool.nearest_ids);
-  // ...and identical logical work: the cache changes where bytes come from
-  // (no pool traffic), never how many rectangles/segments are examined.
-  EXPECT_EQ(cached.delta.bbox_comps, pool.delta.bbox_comps);
-  EXPECT_EQ(cached.delta.segment_comps, pool.delta.segment_comps);
-  EXPECT_EQ(cached.delta.page_fetches, 0u);
-  EXPECT_GT(pool.delta.page_fetches, 0u);
-
-  // Thaw drops the cache (it is a view of the frozen tree).
-  f.tree.Thaw();
-  EXPECT_FALSE(f.tree.scan_cache_enabled());
-  const WorkloadResult thawed = RunWorkload(&f.tree, ws, 1024);
-  EXPECT_EQ(thawed.window_hits, pool.window_hits);
-  EXPECT_GT(thawed.delta.page_fetches, 0u);
-}
-
-TEST(ScanCacheTest, RStarCachedScansMatchPoolScansBitForBit) {
-  ScanCacheEquivalenceImpl<RStarFixtureForSimd>();
-}
-
-TEST(ScanCacheTest, RPlusCachedScansMatchPoolScansBitForBit) {
-  ScanCacheEquivalenceImpl<RPlusFixtureForSimd>();
-}
-
-TEST(ScanCacheTest, BuildRequiresFrozenTree) {
-  RStarFixtureForSimd f;
-  f.Add(Segment{{10, 10}, {40, 40}});
-  EXPECT_FALSE(f.tree.BuildScanCache().ok());
-  EXPECT_FALSE(f.tree.scan_cache_enabled());
-}
-
 // -- Table 1/2 byte-equivalence with SIMD forced on --------------------------
 
 PolygonalMap SimdCounty() {
@@ -348,9 +167,9 @@ PolygonalMap SimdCounty() {
 }
 
 /// The paper harness must produce bit-identical Table 1/2 numbers no matter
-/// which ISA the simd layer dispatches to: the sequential harness never
-/// builds a scan cache, and the vector kernels are bit-equal to scalar
-/// anyway. Catches any accidental wiring of SIMD into the metrics path.
+/// which ISA the simd layer dispatches to: no descent calls the kernels, and
+/// they are bit-equal to scalar anyway. Catches any wiring of SIMD into the
+/// metrics path that changes a count.
 TEST(SimdTest, PaperTablesByteIdenticalAcrossIsas) {
   ExperimentOptions opt;
   opt.index.page_size = 512;
@@ -390,76 +209,6 @@ TEST(SimdTest, PaperTablesByteIdenticalAcrossIsas) {
       EXPECT_EQ(queries[i][q].bucket_comps, queries[0][q].bucket_comps);
       EXPECT_EQ(queries[i][q].avg_result_size, queries[0][q].avg_result_size);
     }
-  }
-}
-
-// -- Throughput mode: grouped batches answer exactly like default mode -------
-
-std::vector<QueryRequest> SimdMixedBatch(const PolygonalMap& map, size_t n,
-                                         uint64_t seed) {
-  Rng rng(seed);
-  std::vector<QueryRequest> batch;
-  batch.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Segment& s =
-        map.segments[rng.Uniform(static_cast<uint32_t>(map.segments.size()))];
-    switch (i % 4) {
-      case 0:
-        batch.push_back(QueryRequest::PointQ(s.a));
-        break;
-      case 1: {
-        const Coord x = static_cast<Coord>(rng.Uniform(3500));
-        const Coord y = static_cast<Coord>(rng.Uniform(3500));
-        batch.push_back(
-            QueryRequest::WindowQ(Rect::Of(x, y, x + 400, y + 400)));
-        break;
-      }
-      case 2:
-        batch.push_back(QueryRequest::NearestQ(
-            Point{static_cast<Coord>(rng.Uniform(4096)),
-                  static_cast<Coord>(rng.Uniform(4096))}));
-        break;
-      default:
-        batch.push_back(QueryRequest::IncidentQ(s.b));
-        break;
-    }
-  }
-  return batch;
-}
-
-TEST(ThroughputModeTest, GroupedBatchesMatchDefaultModeResponses) {
-  CountyProfile p;
-  p.name = "throughput-test";
-  p.lattice = 12;
-  p.meander_steps = 5;
-  p.seed = 5;
-  const PolygonalMap map = GenerateCounty(p, 12);
-
-  ServiceOptions base;
-  base.num_threads = 2;
-  auto plain = QueryService::Build(map, base);
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-
-  ServiceOptions tput = base;
-  tput.throughput_mode = true;
-  auto grouped = QueryService::Build(map, tput);
-  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
-
-  // Throughput mode arms the scan caches on the tree indexes (PMR has none).
-  EXPECT_TRUE((*grouped)->index(ServedIndex::kRStar)->scan_cache_enabled());
-  EXPECT_TRUE((*grouped)->index(ServedIndex::kRPlus)->scan_cache_enabled());
-  EXPECT_FALSE((*plain)->index(ServedIndex::kRStar)->scan_cache_enabled());
-
-  const auto batch = SimdMixedBatch(map, 600, 77);
-  for (ServedIndex which : kAllServedIndexes) {
-    auto seq = (*plain)->ExecuteBatchSequential(which, batch);
-    ASSERT_TRUE(seq.ok()) << ServedIndexName(which);
-    auto def = (*plain)->ExecuteBatch(which, batch);
-    ASSERT_TRUE(def.ok()) << ServedIndexName(which);
-    auto grp = (*grouped)->ExecuteBatch(which, batch);
-    ASSERT_TRUE(grp.ok()) << ServedIndexName(which);
-    EXPECT_TRUE(SameResponses(*def, *seq)) << ServedIndexName(which);
-    EXPECT_TRUE(SameResponses(*grp, *seq)) << ServedIndexName(which);
   }
 }
 

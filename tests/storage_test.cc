@@ -9,6 +9,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "lsdb/pmr/pmr_quadtree.h"
+#include "lsdb/rplus/rplus_tree.h"
+#include "lsdb/rtree/rstar_tree.h"
 #include "lsdb/seg/segment_table.h"
 #include "lsdb/service/cancel.h"
 #include "lsdb/service/circuit_breaker.h"
@@ -20,9 +23,14 @@
 #include "lsdb/util/crc32c.h"
 #include "lsdb/util/query_context.h"
 #include "lsdb/util/random.h"
+#include "test_util.h"
 
 namespace lsdb {
 namespace {
+
+using testing::Ids;
+using testing::RandomSegments;
+using testing::Sorted;
 
 TEST(MemPageFileTest, AllocateReadWrite) {
   MemPageFile f(256);
@@ -702,6 +710,119 @@ TEST(FrozenPoolLruTest, BackendsThatCannotLendKeepExactLru) {
   EXPECT_EQ(pool.misses(), 5u);
   EXPECT_EQ(pool.evictions(), 3u);
   EXPECT_EQ(copy_view.pages_verified(), 0u);
+}
+
+// -- Frozen vs thawed indexes -------------------------------------------------
+//
+// Every read of a frozen index goes through BufferPool::Fetch: over a
+// MemPageFile it reads the file's lent pages, and after Thaw() the same
+// index reads the pool's LRU frames. Both must give the same answers and do
+// the same logical work, so no paper count depends on which one served.
+
+/// `n` random windows plus the edge cases: a degenerate point window, the
+/// whole world and the empty Rect{}.
+std::vector<Rect> FuzzWindows(uint64_t seed, size_t n, Coord world) {
+  Rng rng(seed);
+  std::vector<Rect> ws;
+  ws.reserve(n + 3);
+  for (size_t i = 0; i < n; ++i) {
+    const Coord x = static_cast<Coord>(rng.Uniform(world));
+    const Coord y = static_cast<Coord>(rng.Uniform(world));
+    const Coord dx = static_cast<Coord>(rng.Uniform(world / 4));
+    const Coord dy = static_cast<Coord>(rng.Uniform(world / 4));
+    ws.push_back(Rect::Of(x, y, x + dx, y + dy));
+  }
+  ws.push_back(Rect::Of(world / 2, world / 2, world / 2, world / 2));
+  ws.push_back(Rect::Of(0, 0, world, world));
+  ws.push_back(Rect{});
+  return ws;
+}
+
+/// What one pass of reads returned, and the work and evictions it cost.
+struct ReadPass {
+  std::vector<std::vector<SegmentId>> window_hits;  ///< Sorted per window.
+  std::vector<SegmentId> nearest_ids;
+  MetricCounters delta;
+  uint64_t evictions = 0;
+};
+
+ReadPass RunReads(SpatialIndex* idx, const std::vector<Rect>& ws,
+                  Coord world) {
+  ReadPass r;
+  const MetricCounters before = idx->metrics();
+  const uint64_t evictions0 = idx->pool()->evictions();
+  for (const Rect& w : ws) {
+    std::vector<SegmentHit> hits;
+    EXPECT_TRUE(idx->WindowQueryEx(w, &hits).ok());
+    r.window_hits.push_back(Sorted(Ids(hits)));
+  }
+  Rng rng(99);
+  for (int i = 0; i < 50; ++i) {
+    const Point p{static_cast<Coord>(rng.Uniform(world)),
+                  static_cast<Coord>(rng.Uniform(world))};
+    auto nn = idx->Nearest(p);
+    EXPECT_TRUE(nn.ok());
+    r.nearest_ids.push_back(nn.ok() ? nn->id : kInvalidSegmentId);
+  }
+  r.delta = idx->metrics() - before;
+  r.evictions = idx->pool()->evictions() - evictions0;
+  return r;
+}
+
+template <typename Index>
+void FrozenAndThawedReadsMatch() {
+  IndexOptions opt;
+  opt.page_size = 256;  // small nodes: a multi-level index at 800 segments
+  opt.world_log2 = 10;
+  opt.pmr_max_depth = 10;
+  constexpr Coord kWorld = 1024;
+  MemPageFile seg_file(opt.page_size);
+  BufferPool seg_pool(&seg_file, opt.buffer_frames, nullptr);
+  SegmentTable table(&seg_pool, nullptr);
+  MemPageFile file(opt.page_size);
+  Index idx(opt, &file, &table);
+  ASSERT_TRUE(idx.Init().ok());
+  Rng rng(31);
+  for (const Segment& s : RandomSegments(&rng, 800, kWorld, 96)) {
+    auto id = table.Append(s);
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(idx.Insert(*id, s).ok());
+  }
+  const std::vector<Rect> ws = FuzzWindows(7, 120, kWorld);
+
+  ASSERT_TRUE(table.Flush().ok());
+  ASSERT_TRUE(seg_pool.Freeze().ok());
+  ASSERT_TRUE(idx.Freeze().ok());
+  const ReadPass lent = RunReads(&idx, ws, kWorld);
+
+  idx.Thaw();
+  seg_pool.Thaw();
+  ASSERT_FALSE(idx.pool()->frozen());
+  const ReadPass framed = RunReads(&idx, ws, kWorld);
+
+  EXPECT_EQ(framed.window_hits, lent.window_hits);
+  EXPECT_EQ(framed.nearest_ids, lent.nearest_ids);
+  EXPECT_EQ(framed.delta.bbox_comps, lent.delta.bbox_comps);
+  EXPECT_EQ(framed.delta.segment_comps, lent.delta.segment_comps);
+  EXPECT_EQ(framed.delta.bucket_comps, lent.delta.bucket_comps);
+  EXPECT_EQ(framed.delta.page_fetches, lent.delta.page_fetches);
+  EXPECT_GT(lent.delta.page_fetches, 0u);
+  EXPECT_GT(framed.delta.page_fetches, 0u);
+  // Lent pages take no frame; 16 LRU frames over the whole index evict.
+  EXPECT_EQ(lent.evictions, 0u);
+  EXPECT_GT(framed.evictions, 0u);
+}
+
+TEST(FrozenIndexReadTest, RStarLentPagesAndThawedFramesAgree) {
+  FrozenAndThawedReadsMatch<RStarTree>();
+}
+
+TEST(FrozenIndexReadTest, RPlusLentPagesAndThawedFramesAgree) {
+  FrozenAndThawedReadsMatch<RPlusTree>();
+}
+
+TEST(FrozenIndexReadTest, PmrLentPagesAndThawedFramesAgree) {
+  FrozenAndThawedReadsMatch<PmrQuadtree>();
 }
 
 // Regression: the zero-copy path used to sleep through every backoff of an

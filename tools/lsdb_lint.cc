@@ -153,12 +153,11 @@ const std::vector<std::string>& CounterFields() {
 // TUs that decode disk-resident bytes; asserts there need a justification.
 const std::vector<std::string>& ReadPathTus() {
   static const std::vector<std::string> kTus = {
-      "src/lsdb/btree/btree.cc",        "src/lsdb/rtree/rnode.cc",
-      "src/lsdb/rtree/rstar_tree.cc",   "src/lsdb/rplus/rplus_tree.cc",
-      "src/lsdb/rtree/node_cache.cc",   "src/lsdb/pmr/pmr_quadtree.cc",
-      "src/lsdb/storage/buffer_pool.cc", "src/lsdb/storage/page_file.cc",
-      "src/lsdb/storage/superblock.cc", "src/lsdb/seg/segment_table.cc",
-      "src/lsdb/grid/uniform_grid.cc",
+      "src/lsdb/btree/btree.cc",         "src/lsdb/rtree/rnode.cc",
+      "src/lsdb/rtree/rstar_tree.cc",    "src/lsdb/rplus/rplus_tree.cc",
+      "src/lsdb/pmr/pmr_quadtree.cc",    "src/lsdb/storage/buffer_pool.cc",
+      "src/lsdb/storage/page_file.cc",   "src/lsdb/storage/superblock.cc",
+      "src/lsdb/seg/segment_table.cc",   "src/lsdb/grid/uniform_grid.cc",
   };
   return kTus;
 }

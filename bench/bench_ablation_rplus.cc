@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     IndexOptions opt;
     MemPageFile seg_file(opt.page_size);
     BufferPool seg_pool(&seg_file, opt.buffer_frames, nullptr);
-    SegmentTable table(&seg_pool, nullptr);
+    SegmentTable table(&seg_pool);
     for (const Segment& s : map.segments) {
       if (!table.Append(s).ok()) return 1;
     }

@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
   // Shared segment table, as in the harness.
   MemPageFile seg_file(opt.page_size);
   BufferPool seg_pool(&seg_file, opt.buffer_frames, nullptr);
-  SegmentTable segs(&seg_pool, nullptr);
+  SegmentTable segs(&seg_pool);
   for (const Segment& s : map.segments) {
     auto id = segs.Append(s);
     if (!id.ok()) {

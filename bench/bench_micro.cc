@@ -132,7 +132,7 @@ struct StructureRig {
     IndexOptions opt;
     seg_file = std::make_unique<MemPageFile>(opt.page_size);
     seg_pool = std::make_unique<BufferPool>(seg_file.get(), 16, nullptr);
-    table = std::make_unique<SegmentTable>(seg_pool.get(), nullptr);
+    table = std::make_unique<SegmentTable>(seg_pool.get());
     for (const Segment& s : BenchMap().segments) {
       bench::CheckOk(table->Append(s).status(), "SegmentTable::Append");
     }

@@ -6,17 +6,16 @@
 //
 // Flow: bulk-build a ~50K-segment county service (the PR-4 fast path, so
 // the speedup is measured against the *best* build, not the paper's
-// incremental one) -> WriteSnapshot -> reopen twice, once zero-copy (mmap,
-// pages served in place) and once in pool-copy mode (pages copied through
-// the buffer pool) -> timed mixed batches on all three structures ->
+// incremental one) -> WriteSnapshot -> reopen zero-copy (mmap, pages
+// served in place) -> timed mixed batches on all three structures ->
 // element-wise response equivalence against the built service.
 //
 // Output (default BENCH_snapshot.json) schema, one object:
 //   {"bench": "snapshot_start", "county": ..., "segments": N,
 //    "smoke": false, "threads": T, "build_seconds": ...,
 //    "snapshot_write_seconds": ..., "snapshot_bytes": B,
-//    "snapshot_open_mmap_seconds": ..., "snapshot_open_pool_seconds": ...,
-//    "speedup": ..., "mmap_qps": ..., "pool_qps": ..., "equivalent": true}
+//    "snapshot_open_mmap_seconds": ..., "speedup": ..., "mmap_qps": ...,
+//    "equivalent": true}
 // scripts/ci.sh validates this shape and the exit code enforces both the
 // >=10x service-ready speedup and response equivalence.
 
@@ -192,10 +191,9 @@ int main(int argc, char** argv) {
               write_seconds,
               static_cast<double>(snapshot_bytes) / (1024.0 * 1024.0));
 
-  // 3. Reopen: zero-copy mmap serving, then pool-copy mode.
+  // 3. Reopen: zero-copy mmap serving.
   const auto m0 = std::chrono::steady_clock::now();
-  auto mmap_svc =
-      QueryService::OpenFromSnapshot(snap_path, opt, /*zero_copy=*/true);
+  auto mmap_svc = QueryService::OpenFromSnapshot(snap_path, opt);
   const auto m1 = std::chrono::steady_clock::now();
   if (!mmap_svc.ok()) {
     std::fprintf(stderr, "mmap open failed: %s\n",
@@ -203,52 +201,33 @@ int main(int argc, char** argv) {
     return 1;
   }
   const double open_mmap_seconds = Seconds(m0, m1);
-
-  const auto p0 = std::chrono::steady_clock::now();
-  auto pool_svc =
-      QueryService::OpenFromSnapshot(snap_path, opt, /*zero_copy=*/false);
-  const auto p1 = std::chrono::steady_clock::now();
-  if (!pool_svc.ok()) {
-    std::fprintf(stderr, "pool open failed: %s\n",
-                 pool_svc.status().ToString().c_str());
-    return 1;
-  }
-  const double open_pool_seconds = Seconds(p0, p1);
   const double speedup =
       open_mmap_seconds > 0 ? build_seconds / open_mmap_seconds : 0;
-  std::printf("snapshot open (mmap):          %8.3f s  -> %.0fx faster\n",
+  std::printf("snapshot open (mmap):          %8.3f s  -> %.0fx faster\n\n",
               open_mmap_seconds, speedup);
-  std::printf("snapshot open (pool-copy):     %8.3f s\n\n",
-              open_pool_seconds);
 
-  // 4. Serve the same mixed batch everywhere and compare element-wise.
+  // 4. Serve the same mixed batch on both services and compare
+  // element-wise.
   const std::vector<QueryRequest> batch = MixedBatch(map, kBatch, 2026);
   bool equivalent = true;
   for (ServedIndex which : kAllServedIndexes) {
     auto truth = (*built)->ExecuteBatch(which, batch);
     auto via_mmap = (*mmap_svc)->ExecuteBatch(which, batch);
-    auto via_pool = (*pool_svc)->ExecuteBatch(which, batch);
-    if (!truth.ok() || !via_mmap.ok() || !via_pool.ok()) {
+    if (!truth.ok() || !via_mmap.ok()) {
       std::fprintf(stderr, "batch failed on %s\n", ServedIndexName(which));
       return 1;
     }
     const bool same_mmap = SameResponses(*truth, *via_mmap);
-    const bool same_pool = SameResponses(*truth, *via_pool);
-    std::printf("%-4s responses: mmap %s, pool-copy %s\n",
-                ServedIndexName(which), same_mmap ? "identical" : "DIFFER",
-                same_pool ? "identical" : "DIFFER");
-    equivalent = equivalent && same_mmap && same_pool;
+    std::printf("%-4s responses: mmap %s\n", ServedIndexName(which),
+                same_mmap ? "identical" : "DIFFER");
+    equivalent = equivalent && same_mmap;
   }
 
-  // 5. Steady-state throughput, mmap vs pool-copy serving.
+  // 5. Steady-state throughput of mmap serving.
   bool qok = false;
   const double mmap_qps = MeasureQps(mmap_svc->get(), batch, &qok);
   if (!qok) return 1;
-  const double pool_qps = MeasureQps(pool_svc->get(), batch, &qok);
-  if (!qok) return 1;
-  std::printf("\nthroughput (all structures):  mmap %.0f q/s,  "
-              "pool-copy %.0f q/s\n",
-              mmap_qps, pool_qps);
+  std::printf("\nthroughput (all structures):  mmap %.0f q/s\n", mmap_qps);
 
   std::string json = "{\"bench\":\"snapshot_start\"";
   json += ",\"county\":\"" + county + "\"";
@@ -260,10 +239,8 @@ int main(int argc, char** argv) {
   json += ",\"snapshot_write_seconds\":" + FormatDouble(write_seconds);
   json += ",\"snapshot_bytes\":" + std::to_string(snapshot_bytes);
   json += ",\"snapshot_open_mmap_seconds\":" + FormatDouble(open_mmap_seconds);
-  json += ",\"snapshot_open_pool_seconds\":" + FormatDouble(open_pool_seconds);
   json += ",\"speedup\":" + FormatDouble(speedup);
   json += ",\"mmap_qps\":" + FormatDouble(mmap_qps);
-  json += ",\"pool_qps\":" + FormatDouble(pool_qps);
   json += ",\"equivalent\":";
   json += equivalent ? "true" : "false";
   json += "}\n";

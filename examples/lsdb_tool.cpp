@@ -72,7 +72,7 @@ bool BuildIndex(LoadedMap* lm, const std::string& kind) {
   lm->seg_file = std::make_unique<MemPageFile>(options.page_size);
   lm->seg_pool = std::make_unique<BufferPool>(lm->seg_file.get(),
                                               options.buffer_frames, nullptr);
-  lm->table = std::make_unique<SegmentTable>(lm->seg_pool.get(), nullptr);
+  lm->table = std::make_unique<SegmentTable>(lm->seg_pool.get());
   lm->index_file = std::make_unique<MemPageFile>(options.page_size);
   if (kind == "pmr") {
     auto t = std::make_unique<PmrQuadtree>(options, lm->index_file.get(),

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   BufferPool table_pool(table_file->get(), options.buffer_frames, nullptr);
-  SegmentTable table(&table_pool, nullptr);
+  SegmentTable table(&table_pool);
   PmrQuadtree index(options, index_file->get(), &table);
   if (!index.Init().ok()) return 1;
 
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
       PosixPageFile::Open(dir + "/lsdb_pmr.pages", options.page_size);
   if (!table_file2.ok() || !index_file2.ok()) return 1;
   BufferPool table_pool2(table_file2->get(), options.buffer_frames, nullptr);
-  SegmentTable table2(&table_pool2, nullptr);
+  SegmentTable table2(&table_pool2);
   if (!table2.Open().ok()) return 1;
   PmrQuadtree index2(options, index_file2->get(), &table2);
   const Status open_status = index2.Open();

@@ -32,7 +32,7 @@ int main() {
   IndexOptions options;
   MemPageFile table_file(options.page_size);
   BufferPool table_pool(&table_file, options.buffer_frames, nullptr);
-  SegmentTable table(&table_pool, nullptr);
+  SegmentTable table(&table_pool);
 
   // 3. Load the segment table and build a PMR quadtree over it.
   MemPageFile index_file(options.page_size);

@@ -35,7 +35,7 @@ int main() {
   IndexOptions options;
   MemPageFile table_file(options.page_size);
   BufferPool table_pool(&table_file, options.buffer_frames, nullptr);
-  SegmentTable table(&table_pool, nullptr);
+  SegmentTable table(&table_pool);
   MemPageFile index_file(options.page_size);
   RPlusTree roads(options, &index_file, &table);
   if (!roads.Init().ok()) return 1;

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   IndexOptions options;
   MemPageFile table_file(options.page_size);
   BufferPool table_pool(&table_file, options.buffer_frames, nullptr);
-  SegmentTable table(&table_pool, nullptr);
+  SegmentTable table(&table_pool);
   MemPageFile index_file(options.page_size);
   RStarTree index(options, &index_file, &table);
   if (!index.Init().ok()) return 1;

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   IndexOptions options;
   MemPageFile table_file(options.page_size);
   BufferPool table_pool(&table_file, options.buffer_frames, nullptr);
-  SegmentTable table(&table_pool, nullptr);
+  SegmentTable table(&table_pool);
   MemPageFile pmr_file(options.page_size), rplus_file(options.page_size),
       rstar_file(options.page_size);
   PmrQuadtree pmr(options, &pmr_file, &table);

@@ -109,8 +109,7 @@ def check_snapshot(doc, path):
     if not require(doc, ("bench", "county", "segments", "smoke", "threads",
                          "build_seconds", "snapshot_write_seconds",
                          "snapshot_bytes", "snapshot_open_mmap_seconds",
-                         "snapshot_open_pool_seconds", "speedup",
-                         "mmap_qps", "pool_qps", "equivalent"), path):
+                         "speedup", "mmap_qps", "equivalent"), path):
         return
     if doc["snapshot_bytes"] <= 0 or doc["snapshot_open_mmap_seconds"] <= 0:
         fail(f"{path}: implausible snapshot size/open time")
@@ -118,7 +117,7 @@ def check_snapshot(doc, path):
         fail(f"{path}: cold-start speedup {doc['speedup']} < 10x")
     if doc["equivalent"] is not True:
         fail(f"{path}: snapshot-vs-built responses not equivalent")
-    if not (doc["mmap_qps"] > 0 and doc["pool_qps"] > 0):
+    if not doc["mmap_qps"] > 0:
         fail(f"{path}: nonpositive qps")
 
 
@@ -229,7 +228,6 @@ def tracked_metrics(doc):
             out[f"{idx}.p99_ns"] = ("lo", s.get("p99_ns"))
     elif kind == "snapshot_start":
         out["mmap_qps"] = ("hi", doc.get("mmap_qps"))
-        out["pool_qps"] = ("hi", doc.get("pool_qps"))
     elif kind == "overload":
         # Capacity is the stable cross-run metric; the sweep's absolute
         # latencies are deadline-relative and jitter-dominated on shared

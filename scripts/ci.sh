@@ -46,15 +46,18 @@
 # Tier 3: smoke-run the machine-readable benches — service observability
 #         (BENCH_service.json), bulk build (BENCH_build.json, whose exit
 #         status already enforces bulk-vs-incremental equivalence),
-#         snapshot cold-start (BENCH_snapshot.json, >=10x speedup
-#         enforced), query-path introspection (BENCH_introspect.json),
+#         snapshot cold-start (BENCH_snapshot.json: zero-copy serving,
+#         the only snapshot mode; >=10x speedup and built-vs-mmap
+#         response equivalence enforced), query-path introspection
+#         (BENCH_introspect.json),
 #         and the overload sweep (BENCH_overload.json, whose exit status
 #         already enforces the bounded-p99 and accounting invariants at
 #         3x saturation).
 # Tier 4: scripts/check_bench.py validates every generated BENCH_*.json
 #         against its schema and gates tracked throughput/latency metrics
-#         (service qps/p99, snapshot qps) against the committed baselines
-#         in the repo root: a >25% regression fails the build.
+#         (service qps/p99, zero-copy snapshot qps, overload capacity)
+#         against the committed baselines in the repo root: a >25%
+#         regression fails the build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

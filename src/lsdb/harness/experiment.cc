@@ -78,7 +78,7 @@ Status Experiment::BuildAll() {
   seg_file_ = std::make_unique<MemPageFile>(options_.index.page_size);
   seg_pool_ = std::make_unique<BufferPool>(
       seg_file_.get(), options_.index.buffer_frames, nullptr);
-  segs_ = std::make_unique<SegmentTable>(seg_pool_.get(), nullptr);
+  segs_ = std::make_unique<SegmentTable>(seg_pool_.get());
   for (const Segment& s : map_.segments) {
     auto id = segs_->Append(s);
     if (!id.ok()) return id.status();
@@ -197,7 +197,7 @@ Status Experiment::OpenAllFromSnapshot() {
                                        SectionKind::kSegments, false));
   seg_pool_ = std::make_unique<BufferPool>(
       seg_file_.get(), options_.index.buffer_frames, nullptr);
-  segs_ = std::make_unique<SegmentTable>(seg_pool_.get(), nullptr);
+  segs_ = std::make_unique<SegmentTable>(seg_pool_.get());
   LSDB_RETURN_IF_ERROR(segs_->Open());
   if (segs_->size() != h.segment_count) {
     return Status::Corruption(
@@ -410,7 +410,7 @@ StatusOr<BuildStats> Experiment::BuildOne(const PolygonalMap& map,
                                           bool bulk) {
   MemPageFile seg_file(index_options.page_size);
   BufferPool seg_pool(&seg_file, index_options.buffer_frames, nullptr);
-  SegmentTable segs(&seg_pool, nullptr);
+  SegmentTable segs(&seg_pool);
   for (const Segment& s : map.segments) {
     auto id = segs.Append(s);
     if (!id.ok()) return id.status();

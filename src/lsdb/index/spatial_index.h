@@ -128,18 +128,21 @@ class SpatialIndex {
   /// backend's own pages with no copy and no lock, like a zero-copy
   /// snapshot (see storage/buffer_pool.h). Until Thaw(), Insert/Erase fail
   /// with FailedPrecondition-style InvalidArgument. Queries on a frozen
-  /// index mutate no structural state, so any number of threads may run
-  /// WindowQueryEx/PointQueryEx/Nearest concurrently: a pool that copies
-  /// (on-disk or pool-copy snapshot backends) serializes page access under
-  /// its mutex, and a zero-copy pool takes no lock. The structure-owned
-  /// MetricCounters have a single writer, so each concurrent caller must
-  /// install its own counters in a QueryContext (util/query_context.h);
-  /// the query service always does. Fails, leaving the index unfrozen, if
-  /// the flush fails or a page is pinned. A no-op when already frozen.
+  /// index mutate no structural state. Concurrent queries need a lending
+  /// pool, which takes no lock: then any number of threads may run
+  /// WindowQueryEx/PointQueryEx/Nearest at once. A pool that copies (an
+  /// on-disk backend) serves one thread, and a fetch that finds every
+  /// frame pinned fails fast with ResourceExhausted instead of waiting.
+  /// The structure-owned MetricCounters have a single writer, so each
+  /// concurrent caller must install its own counters in a QueryContext
+  /// (util/query_context.h); the query service always does. Fails,
+  /// leaving the index unfrozen, if the flush fails or a page is pinned. A
+  /// no-op when already frozen.
   [[nodiscard]] Status Freeze();
   /// Returns to mutable mode over the pool's LRU frames, which then serve
-  /// every read the lent pages served while frozen. An index served from a
-  /// read-only snapshot still refuses Insert/Erase after Thaw().
+  /// every read the lent pages served while frozen, on one thread; the
+  /// query service refuses a thawed index's queries. An index served from
+  /// a read-only snapshot still refuses Insert/Erase after Thaw().
   void Thaw();
   bool frozen() const { return frozen_; }
 

@@ -12,8 +12,6 @@ const char* PoolEventName(PoolEvent e) {
       return "miss";
     case PoolEvent::kEviction:
       return "eviction";
-    case PoolEvent::kPinWait:
-      return "pin_wait";
   }
   return "?";
 }

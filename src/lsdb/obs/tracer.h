@@ -4,7 +4,7 @@
 //   * query spans  — one line per served query, carrying the query id,
 //     kind, structure, wall latency in ns, the per-query metric deltas
 //     (disk reads, segment comps, bbox/bucket comps), and the worker id;
-//   * buffer-pool events — hit / miss / eviction / pin_wait, tagged with
+//   * buffer-pool events — hit / miss / eviction, tagged with
 //     the pool's name and sampled 1-in-N (configurable) because pools see
 //     orders of magnitude more events than queries.
 //
@@ -60,7 +60,7 @@ struct QuerySpan {
 };
 
 /// Buffer-pool event kinds (see BufferPool for emission points).
-enum class PoolEvent : uint8_t { kHit, kMiss, kEviction, kPinWait };
+enum class PoolEvent : uint8_t { kHit, kMiss, kEviction };
 const char* PoolEventName(PoolEvent e);
 
 struct TracerOptions {
@@ -145,11 +145,11 @@ class Tracer {
   std::atomic<uint64_t> lines_emitted_{0};
   std::atomic<uint64_t> lines_dropped_{0};
 
-  /// Guards the sink and options below. When a copying BufferPool has
-  /// this tracer attached, emission happens with the pool's mutex held:
-  /// the lock order is always pool -> tracer, never the reverse (the
-  /// tracer calls nothing that could take a pool lock). Zero-copy pools
-  /// emit holding no lock.
+  /// Guards the sink and options below. A copying BufferPool emits with
+  /// its mutex held, so pool -> tracer nests on that single-threaded path,
+  /// never the reverse (the tracer calls nothing that could take a pool
+  /// lock). Zero-copy pools, which serve every service query, emit
+  /// holding no lock.
   Mutex mu_{"Tracer.mu"};
   TracerOptions options_ LSDB_GUARDED_BY(mu_);
   /// Bytes appended to the current sink.

@@ -154,12 +154,16 @@ Status PmrQuadtree::VisitLeavesInCellRect(
     QuadBlock leaf;
     uint32_t segid;
     LSDB_RETURN_IF_ERROR(geom_.UnpackKeyChecked(*key, &leaf, &segid));
-    LSDB_RETURN_IF_ERROR(fn(leaf));
-    // Advance past the leaf's Z-range, jumping out-of-rect gaps.
     const uint64_t base = geom_.SubtreeKeyLow(leaf) >> 36;
     const uint64_t cells =
         uint64_t{1} << (2 * (geom_.max_depth() - leaf.depth));
     const uint64_t next = base + cells;
+    // A sound tree's predecessor leaf covers `cur`. One that ends at or
+    // before it (a stale or hostile page, a missing leaf) would be found
+    // again on every probe, so the walk could never advance.
+    if (next <= cur) return Status::Corruption("uncovered quadtree cell");
+    LSDB_RETURN_IF_ERROR(fn(leaf));
+    // Advance past the leaf's Z-range, jumping out-of-rect gaps.
     if (next > zmax) return Status::OK();
     uint32_t nx, ny;
     MortonDecode(static_cast<uint32_t>(next), &nx, &ny);

@@ -22,10 +22,8 @@ void DecodeSegment(const uint8_t* p, Segment* s) {
 }
 }  // namespace
 
-SegmentTable::SegmentTable(BufferPool* pool, MetricCounters* metrics)
-    : pool_(pool),
-      metrics_(metrics),
-      per_page_(pool->page_size() / kRecordSize) {}
+SegmentTable::SegmentTable(BufferPool* pool)
+    : pool_(pool), per_page_(pool->page_size() / kRecordSize) {}
 
 Status SegmentTable::Open() {
   auto fields = ReadSuperblock(pool_, 0, SuperblockKind::kSegmentTable);
@@ -88,7 +86,6 @@ StatusOr<SegmentId> SegmentTable::Append(const Segment& s) {
 
 Status SegmentTable::Get(SegmentId id, Segment* out) {
   if (id >= count_) return Status::InvalidArgument("segment id out of range");
-  if (MetricCounters* m = CounterSink(metrics_)) ++m->segment_comps;
   const PageId page = 1 + id / per_page_;
   const uint32_t slot = id % per_page_;
   auto ref = pool_->Fetch(page);

@@ -4,7 +4,8 @@
 // bounding information; the actual endpoints live in a shared, paged
 // segment table ("O is a pointer to a segment table that contains the
 // endpoints of the line segment ... assumed to be on disk"). Every Get() is
-// one *segment comparison* in the paper's accounting.
+// one *segment comparison* in the paper's accounting; the structure that
+// calls Get() counts it, so the table itself counts nothing.
 //
 // Records are fixed-size (4 coordinates = 16 bytes), addressed by
 // SegmentId: page = id / records_per_page, slot = id % records_per_page.
@@ -20,7 +21,6 @@
 
 #include "lsdb/geom/segment.h"
 #include "lsdb/storage/buffer_pool.h"
-#include "lsdb/util/counters.h"
 #include "lsdb/util/status.h"
 
 namespace lsdb {
@@ -28,14 +28,13 @@ namespace lsdb {
 class SegmentTable {
  public:
   /// `pool` should be dedicated to the table (its disk activity is reported
-  /// separately from index disk accesses, as in the paper). `metrics`
-  /// receives one segment_comps increment per Get; may be null.
+  /// separately from index disk accesses, as in the paper).
   ///
   /// Page 0 of the file holds a superblock (written by Flush, allocated
   /// lazily on the first Append); records start at page 1. A table
   /// persisted with Flush() into a PosixPageFile can be reopened with
   /// Open().
-  SegmentTable(BufferPool* pool, MetricCounters* metrics);
+  explicit SegmentTable(BufferPool* pool);
 
   /// Restores a table previously persisted with Flush().
   [[nodiscard]] Status Open();
@@ -46,8 +45,8 @@ class SegmentTable {
   /// InvalidArgument, touching no page, while the pool is frozen.
   [[nodiscard]] StatusOr<SegmentId> Append(const Segment& s);
 
-  /// Fetches segment `id`. Counts one segment comparison. Safe from many
-  /// threads on a frozen table when each installs its own counters in a
+  /// Fetches segment `id`. The caller counts the segment comparison. Safe
+  /// from many threads on a frozen table when each installs its own counters in a
   /// QueryContext (util/query_context.h); over a zero-copy pool (a frozen
   /// in-memory or snapshot-served table) the fetch takes no lock.
   [[nodiscard]] Status Get(SegmentId id, Segment* out);
@@ -65,7 +64,6 @@ class SegmentTable {
 
  private:
   BufferPool* pool_;
-  MetricCounters* metrics_;
   uint32_t per_page_;
   uint32_t count_ = 0;
   bool has_superblock_ = false;

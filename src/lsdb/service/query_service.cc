@@ -89,6 +89,9 @@ StatusOr<std::unique_ptr<QueryService>> QueryService::Build(
 
 StatusOr<std::unique_ptr<QueryService>> QueryService::OpenFromSnapshot(
     const std::string& path, const ServiceOptions& options, bool zero_copy) {
+  if (!zero_copy) {
+    return Status::InvalidArgument("snapshot services serve zero-copy only");
+  }
   LSDB_ASSIGN_OR_RETURN(std::unique_ptr<snapshot::SnapshotReader> reader,
                         snapshot::SnapshotReader::Open(path));
   // The snapshot header is authoritative for the structure parameters: the
@@ -103,8 +106,7 @@ StatusOr<std::unique_ptr<QueryService>> QueryService::OpenFromSnapshot(
   opts.index.pmr_store_bboxes = h.pmr_store_bboxes;
   std::unique_ptr<QueryService> svc(new QueryService(opts));
   svc->snapshot_ = std::move(reader);
-  svc->snapshot_zero_copy_ = zero_copy;
-  LSDB_RETURN_IF_ERROR(svc->OpenIndexesFromSnapshot(zero_copy));
+  LSDB_RETURN_IF_ERROR(svc->OpenIndexesFromSnapshot());
   svc->workers_ = std::make_unique<WorkerPool>(opts.num_threads);
   LSDB_RETURN_IF_ERROR(svc->SetUpObservability());
   svc->stats_.GetCounter("lsdb_snapshot_opens_total")->Add(1);
@@ -232,8 +234,6 @@ void QueryService::RefreshGauges() {
         ->Set(static_cast<double>(p.pool->misses()));
     stats_.GetGauge("lsdb_bufferpool_evictions" + labels)
         ->Set(static_cast<double>(p.pool->evictions()));
-    stats_.GetGauge("lsdb_bufferpool_pin_waits" + labels)
-        ->Set(static_cast<double>(p.pool->pin_waits()));
     stats_.GetGauge("lsdb_pool_io_retries" + labels)
         ->Set(static_cast<double>(p.pool->io_retries()));
     stats_.GetGauge("lsdb_pool_checksum_failures" + labels)
@@ -329,8 +329,6 @@ void QueryService::RefreshGauges() {
         ->Set(static_cast<double>(heat_[i]->total()));
   }
   if (snapshot_ != nullptr) {
-    stats_.GetGauge("lsdb_snapshot_zero_copy")
-        ->Set(snapshot_zero_copy_ ? 1.0 : 0.0);
     const char* section_names[] = {"segments", "R*", "R+", "PMR"};
     for (size_t i = 0; i < 4; ++i) {
       if (snapshot_views_[i] == nullptr) continue;
@@ -348,13 +346,13 @@ Status QueryService::BuildIndexes(const PolygonalMap& map) {
   IndexOptions io = options_.index;
   io.buffer_frames = options_.serving_buffer_frames;
 
-  // Shared segment table. Its metrics pointer is null, as in the harness:
-  // segment comparisons are counted by the per-worker sinks while serving.
+  // Shared segment table. The structures count their own segment
+  // comparisons, into each query's counters while serving.
   seg_file_ = std::make_unique<MemPageFile>(io.page_size);
   seg_pool_ =
       std::make_unique<BufferPool>(seg_file_.get(), io.buffer_frames,
                                    nullptr);
-  segs_ = std::make_unique<SegmentTable>(seg_pool_.get(), nullptr);
+  segs_ = std::make_unique<SegmentTable>(seg_pool_.get());
   for (const Segment& s : map.segments) {
     LSDB_ASSIGN_OR_RETURN([[maybe_unused]] const SegmentId id,
                           segs_->Append(s));
@@ -425,22 +423,21 @@ void QueryService::ArmFaultInjectors() {
   }
 }
 
-Status QueryService::OpenIndexesFromSnapshot(bool zero_copy) {
+Status QueryService::OpenIndexesFromSnapshot() {
   IndexOptions io = options_.index;
   io.buffer_frames = options_.serving_buffer_frames;
   using snapshot::SectionKind;
 
-  // Segment table view + pool. The table is always served through the
-  // pool-copy path in spirit (Get() goes through Fetch either way); with
-  // zero_copy its Fetches borrow mapped bytes like the indexes'.
+  // Every section is zero-copy: its pool is frozen from construction and
+  // its Fetches borrow mapped bytes, the segment table's like the indexes'.
   LSDB_ASSIGN_OR_RETURN(
       std::unique_ptr<MmapPageFile> seg_view,
-      snapshot_->OpenSection(SectionKind::kSegments, zero_copy));
+      snapshot_->OpenSection(SectionKind::kSegments, /*zero_copy=*/true));
   snapshot_views_[0] = seg_view.get();
   seg_file_ = std::move(seg_view);
   seg_pool_ = std::make_unique<BufferPool>(seg_file_.get(),
                                            io.buffer_frames, nullptr);
-  segs_ = std::make_unique<SegmentTable>(seg_pool_.get(), nullptr);
+  segs_ = std::make_unique<SegmentTable>(seg_pool_.get());
   LSDB_RETURN_IF_ERROR(segs_->Open());
   if (segs_->size() != snapshot_->header().segment_count) {
     return Status::Corruption(
@@ -454,7 +451,7 @@ Status QueryService::OpenIndexesFromSnapshot(bool zero_copy) {
   for (ServedIndex which : kAllServedIndexes) {
     const size_t i = static_cast<size_t>(which);
     LSDB_ASSIGN_OR_RETURN(std::unique_ptr<MmapPageFile> view,
-                          snapshot_->OpenSection(kinds[i], zero_copy));
+                          snapshot_->OpenSection(kinds[i], /*zero_copy=*/true));
     snapshot_views_[i + 1] = view.get();
     *slots[i] = std::move(view);
     injectors_[i] =
@@ -551,12 +548,20 @@ QueryResponse QueryService::RunQuery(ServedIndex which, const QueryRequest& q,
     r.status = token.StatusNow();
     if (!r.status.ok()) return r;
   }
+  // Service queries read only frozen, lent pages. A thawed index is
+  // refused before the breaker gate, so no page is fetched and the breaker,
+  // which would count InvalidArgument as a success, records nothing.
+  SpatialIndex* idx = index(which);
+  if (!idx->frozen()) {
+    r.status = Status::InvalidArgument(std::string(ServedIndexName(which)) +
+                                       " index is thawed; freeze it to serve");
+    return r;
+  }
   // A brownout probe already took its breaker ticket at submit.
   if (admitted == nullptr || !admitted->breaker_preapproved) {
     r.status = BreakerGate(which);
     if (!r.status.ok()) return r;
   }
-  SpatialIndex* idx = index(which);
   {
     ScopedQueryContext scope({.counters = &rec->counters,
                               .profile = rec->profile ? &*rec->profile

@@ -7,17 +7,18 @@
 // pool and returns per-request responses plus aggregated per-worker
 // metrics.
 //
-// Concurrency model: the build is single-threaded; serving is read-only.
-// Build flushes and freezes every structure and the segment table, whose
-// pools then serve their in-memory pages zero-copy with no lock, exactly
-// as a zero-copy snapshot service serves its mapping (a pool-copy snapshot
-// service keeps the locked LRU frames). Either way every page a query reads
-// goes through BufferPool::Fetch, so no read bypasses the fault injector or
-// the pool's disk-access count. Frozen indexes reject Insert/Erase,
-// and every query runs under its own QueryContext (util/query_context.h),
-// whose private counters receive its metrics — the index-owned counters
-// have a single writer and are not touched while serving, and the
-// sequential paper harness, which never freezes, is unaffected.
+// Concurrency model: the build is single-threaded; serving is read-only and
+// reads only frozen, lent pages. Build flushes and freezes every structure
+// and the segment table, whose pools then serve their in-memory pages
+// zero-copy with no lock, exactly as a snapshot service serves its mapping.
+// Every page a query reads goes through BufferPool::Fetch, so no read
+// bypasses the fault injector or the pool's disk-access count. Frozen
+// indexes reject Insert/Erase; a thawed one, whose LRU frames serve one
+// thread, gets InvalidArgument for every service query. Every query runs
+// under its own QueryContext (util/query_context.h), whose private
+// counters receive its metrics — the index-owned counters have a single
+// writer and are not touched while serving, and the sequential paper
+// harness, which never freezes, is unaffected.
 //
 // The paper-replication numbers (Table 1 / Table 2) are still produced by
 // the sequential harness in lsdb/harness; this subsystem is the
@@ -64,12 +65,10 @@ struct ServiceOptions {
   IndexOptions index;
   /// Worker threads executing batches.
   uint32_t num_threads = 4;
-  /// Buffer frames per structure pool. They hold the pages while Build
-  /// runs and after a Thaw(), and serve every query of a pool-copy
-  /// snapshot service; a built or zero-copy snapshot service serves lent
-  /// pages and no frame. Larger than the paper's 16 so concurrent queries
-  /// rarely contend on evictions; the paper harness keeps its own 16-frame
-  /// pools and is not affected.
+  /// Buffer frames per structure pool. They are used only while Build runs
+  /// and while an index is thawed; every service query reads lent pages
+  /// and no frame. The paper harness keeps its own 16-frame pools and is
+  /// not affected.
   uint32_t serving_buffer_frames = 256;
   /// Build the served structures with the bottom-up bulk builders
   /// (src/lsdb/build/) instead of one-at-a-time insertion. Served query
@@ -127,9 +126,9 @@ class QueryService {
   /// Structure options recorded in the snapshot header (page size, world
   /// extent, PMR parameters) override the corresponding fields of
   /// `options.index` so superblock validation matches the frozen state.
-  /// With `zero_copy` (the default) index pages are served straight from
-  /// the mapping; with it off, pages are copied through the buffer pool,
-  /// reproducing the paper's LRU disk-access accounting exactly.
+  /// Pages are always served zero-copy, straight from the mapping; the
+  /// `zero_copy` parameter stays only because perfbench passes `true`,
+  /// and `false` returns InvalidArgument before the file is opened.
   [[nodiscard]] static StatusOr<std::unique_ptr<QueryService>> OpenFromSnapshot(
       const std::string& path, const ServiceOptions& options,
       bool zero_copy = true);
@@ -269,7 +268,7 @@ class QueryService {
   explicit QueryService(const ServiceOptions& options);
 
   [[nodiscard]] Status BuildIndexes(const PolygonalMap& map);
-  [[nodiscard]] Status OpenIndexesFromSnapshot(bool zero_copy);
+  [[nodiscard]] Status OpenIndexesFromSnapshot();
   void ArmFaultInjectors();
   [[nodiscard]] Status SetUpObservability();
   void RefreshGauges();
@@ -287,7 +286,8 @@ class QueryService {
   /// q.cancel), installs the context, takes a breaker ticket, runs the
   /// query and records the breaker outcome. An admitted query whose budget
   /// ran out in the queue, or whose caller cancelled, skips the descent; a
-  /// brownout probe already holds its breaker ticket.
+  /// brownout probe already holds its breaker ticket. A thawed index is
+  /// refused with InvalidArgument before the breaker is consulted.
   QueryResponse RunQuery(ServedIndex which, const QueryRequest& q,
                          const AdmissionQueue::Ticket* admitted,
                          QueryRecord* rec);
@@ -320,7 +320,6 @@ class QueryService {
   /// file: the files are views into the reader's mapping, so the reader
   /// must be destroyed last (members destruct in reverse order).
   std::unique_ptr<snapshot::SnapshotReader> snapshot_;
-  bool snapshot_zero_copy_ = false;
   /// [segments, R*, R+, PMR] borrowed view pointers for the obs gauges;
   /// null unless from_snapshot(). Owned via the *_file_ members below.
   MmapPageFile* snapshot_views_[4] = {};

@@ -52,9 +52,9 @@ class SnapshotReader {
   [[nodiscard]] StatusOr<const SectionEntry*> Section(SectionKind kind) const;
 
   /// Opens a page-file view over the section of `kind`. `zero_copy`
-  /// selects MapPage() serving (true; production) or pool-copy serving
-  /// (false; paper-exact LRU accounting in the experiment harness). The
-  /// returned view borrows this reader's mapping.
+  /// selects MapPage() serving (true; every query service) or pool-copy
+  /// serving (false; paper-exact LRU accounting in the experiment
+  /// harness). The returned view borrows this reader's mapping.
   [[nodiscard]] StatusOr<std::unique_ptr<MmapPageFile>> OpenSection(
       SectionKind kind, bool zero_copy) const;
 

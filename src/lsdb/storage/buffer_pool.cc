@@ -3,6 +3,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 #include "lsdb/introspect/page_heat.h"
@@ -13,11 +14,6 @@
 namespace lsdb {
 
 namespace {
-/// Sentinel returned by GetVictimFrame after a wait: the caller must
-/// re-check the page map (another thread may have loaded the page, or
-/// released a pin on it) before searching for a victim again.
-constexpr uint32_t kRetryFrame = 0xffffffffu;
-
 /// Increment of a counter whose writers all hold the pool mutex (the
 /// copying path): a plain load and store, no locked read-modify-write.
 void BumpLocked(std::atomic<uint64_t>& c) {
@@ -104,15 +100,9 @@ void BufferPool::PageRef::Release() {
   direct_ = nullptr;
 }
 
-uint32_t BufferPool::SelfPinsLocked() const {
-  auto it = pins_by_thread_.find(std::this_thread::get_id());
-  return it == pins_by_thread_.end() ? 0 : it->second;
-}
-
 void BufferPool::PinLocked(uint32_t frame) {
   ++frames_[frame].pin_count;
   ++total_pins_;
-  ++pins_by_thread_[std::this_thread::get_id()];
 }
 
 Status BufferPool::ReadPageVerified(PageId id, uint8_t* buf) {
@@ -185,43 +175,9 @@ StatusOr<uint32_t> BufferPool::GetVictimFrame() {
     TraceEvent(PoolEvent::kEviction);
     return f;
   }
-  // Every frame is pinned. If the calling thread holds all the pins,
-  // waiting could never succeed — fail as the single-threaded pool did.
-  if (SelfPinsLocked() == total_pins_) {
-    return Status::ResourceExhausted("all buffer frames pinned");
-  }
-  // Another thread holds pins; block until one is released (bounded, so a
-  // cross-thread pin cycle degrades to an error instead of a hang). The
-  // wait honors the calling query's cancel token: it never sleeps past
-  // the token's deadline, and it is sliced so a cross-thread Cancel() is
-  // observed within one poll interval instead of parking the thread for
-  // the full exhaustion timeout.
-  ++pin_waits_;
-  TraceEvent(PoolEvent::kPinWait);
-  CancelToken* tok = ThreadCancelToken();
-  const auto give_up = CancelToken::Clock::now() +
-                       std::chrono::milliseconds(kExhaustedWaitMs);
-  for (;;) {
-    if (tok != nullptr) {
-      LSDB_RETURN_IF_ERROR(tok->StatusNow());
-    }
-    auto slice = CancelToken::Clock::now() +
-                 std::chrono::milliseconds(kCancelPollMs);
-    if (slice > give_up) slice = give_up;
-    if (tok != nullptr && tok->has_deadline() && tok->deadline() < slice) {
-      slice = tok->deadline();
-    }
-    const bool have_frame = frame_released_.WaitUntil(
-        mu_, slice,
-        [this]() LSDB_REQUIRES(mu_) {
-          return !free_frames_.empty() || !lru_.empty();
-        });
-    if (have_frame) return kRetryFrame;
-    if (CancelToken::Clock::now() >= give_up) {
-      return Status::ResourceExhausted(
-          "timed out waiting for a buffer frame to be unpinned");
-    }
-  }
+  // Every frame is pinned. The copying path serves one thread, so no other
+  // caller can release a pin while this one waits: fail at once.
+  return Status::ResourceExhausted("all buffer frames pinned");
 }
 
 void BufferPool::Unpin(uint32_t frame) {
@@ -229,14 +185,9 @@ void BufferPool::Unpin(uint32_t frame) {
   Frame& fr = frames_[frame];
   assert(fr.pin_count > 0);  // NOLINT(lsdb-assert-on-disk): Unpin caller contract
   --total_pins_;
-  auto it = pins_by_thread_.find(std::this_thread::get_id());
-  if (it != pins_by_thread_.end() && --it->second == 0) {
-    pins_by_thread_.erase(it);
-  }
   if (--fr.pin_count == 0) {
     fr.lru_pos = lru_.insert(lru_.end(), frame);
     fr.in_lru = true;
-    frame_released_.NotifyOne();
   }
 }
 
@@ -247,40 +198,34 @@ StatusOr<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
     heat->Touch(id);
   }
   if (MetricCounters* m = CounterSink(metrics_)) ++m->page_fetches;
-  for (;;) {
-    auto it = page_to_frame_.find(id);
-    if (it != page_to_frame_.end()) {
-      const uint32_t f = it->second;
-      Frame& fr = frames_[f];
-      if (fr.in_lru) {
-        lru_.erase(fr.lru_pos);
-        fr.in_lru = false;
-      }
-      PinLocked(f);
-      hits_.AddSerialized();
-      TraceEvent(PoolEvent::kHit);
-      return PageRef(this, f, id);
-    }
-    auto victim = GetVictimFrame();
-    if (!victim.ok()) return victim.status();
-    if (*victim == kRetryFrame) continue;  // waited: re-check the page map
-    const uint32_t f = *victim;
+  auto it = page_to_frame_.find(id);
+  if (it != page_to_frame_.end()) {
+    const uint32_t f = it->second;
     Frame& fr = frames_[f];
-    const Status s = ReadPageVerified(id, fr.buf.data());
-    if (!s.ok()) {
-      free_frames_.push_back(f);
-      frame_released_.NotifyOne();
-      return s;
+    if (fr.in_lru) {
+      lru_.erase(fr.lru_pos);
+      fr.in_lru = false;
     }
-    if (MetricCounters* m = CounterSink(metrics_)) ++m->disk_reads;
-    fr.page = id;
-    fr.dirty = false;
     PinLocked(f);
-    page_to_frame_[id] = f;
-    BumpLocked(misses_);
-    TraceEvent(PoolEvent::kMiss);
+    hits_.AddSerialized();
+    TraceEvent(PoolEvent::kHit);
     return PageRef(this, f, id);
   }
+  LSDB_ASSIGN_OR_RETURN(const uint32_t f, GetVictimFrame());
+  Frame& fr = frames_[f];
+  const Status s = ReadPageVerified(id, fr.buf.data());
+  if (!s.ok()) {
+    free_frames_.push_back(f);
+    return s;
+  }
+  if (MetricCounters* m = CounterSink(metrics_)) ++m->disk_reads;
+  fr.page = id;
+  fr.dirty = false;
+  PinLocked(f);
+  page_to_frame_[id] = f;
+  BumpLocked(misses_);
+  TraceEvent(PoolEvent::kMiss);
+  return PageRef(this, f, id);
 }
 
 StatusOr<BufferPool::PageRef> BufferPool::FetchZeroCopy(PageId id) {
@@ -333,24 +278,21 @@ StatusOr<BufferPool::PageRef> BufferPool::New() {
   auto alloc = file_->Allocate();
   if (!alloc.ok()) return alloc.status();
   const PageId id = *alloc;
-  for (;;) {
-    auto victim = GetVictimFrame();
-    if (!victim.ok()) {
-      // Undo the allocation; the page was never used, and the original
-      // victim-frame error is the one worth surfacing.
-      file_->Free(id).IgnoreError();
-      return victim.status();
-    }
-    if (*victim == kRetryFrame) continue;
-    const uint32_t f = *victim;
-    Frame& fr = frames_[f];
-    std::memset(fr.buf.data(), 0, fr.buf.size());
-    fr.page = id;
-    fr.dirty = true;  // a new page must eventually reach the file
-    PinLocked(f);
-    page_to_frame_[id] = f;
-    return PageRef(this, f, id);
+  auto victim = GetVictimFrame();
+  if (!victim.ok()) {
+    // Undo the allocation; the page was never used, and the original
+    // victim-frame error is the one worth surfacing.
+    file_->Free(id).IgnoreError();
+    return victim.status();
   }
+  const uint32_t f = *victim;
+  Frame& fr = frames_[f];
+  std::memset(fr.buf.data(), 0, fr.buf.size());
+  fr.page = id;
+  fr.dirty = true;  // a new page must eventually reach the file
+  PinLocked(f);
+  page_to_frame_[id] = f;
+  return PageRef(this, f, id);
 }
 
 Status BufferPool::FlushAll() {
@@ -407,7 +349,6 @@ Status BufferPool::Free(PageId id) {
     fr.dirty = false;
     free_frames_.push_back(it->second);
     page_to_frame_.erase(it);
-    frame_released_.NotifyOne();
   }
   return file_->Free(id);
 }
@@ -415,11 +356,6 @@ Status BufferPool::Free(PageId id) {
 uint64_t BufferPool::evictions() const {
   MutexLock lk(mu_);
   return evictions_;
-}
-
-uint64_t BufferPool::pin_waits() const {
-  MutexLock lk(mu_);
-  return pin_waits_;
 }
 
 double BufferPool::hit_ratio() const {

@@ -15,33 +15,31 @@
 // dirty frame and then refuses every write until Thaw(). A frozen pool
 // whose backend lends its pages (PageFile::lends_pages(): MemPageFile, and
 // zero-copy snapshot sections) serves them zero-copy; one whose backend
-// cannot (PosixPageFile, pool-copy snapshot sections) keeps its LRU frames
-// and their exact accounting. A pool over a read-only backend is frozen
-// for its whole life, and over a zero-copy snapshot section it is
-// zero-copy from construction. The paper harness never freezes, so its
-// 16-frame LRU accounting is untouched.
+// cannot (PosixPageFile, the harness's pool-copy snapshot sections) keeps
+// its LRU frames and their exact accounting. A pool over a read-only
+// backend is frozen for its whole life, and over a zero-copy snapshot
+// section it is zero-copy from construction. The paper harness never
+// freezes, so its 16-frame LRU accounting is untouched.
 //
-// Thread safety (added for the concurrent query service): any number of
-// threads may Fetch/Release concurrently; Freeze() and Thaw() must not
-// run concurrently with any other call. The two fetch paths:
+// Threading contract — lent pages: any thread; frames: one thread.
+// Freeze() and Thaw() must not run concurrently with any other call.
 //
-//  * Copying (LRU frames): all frame state is guarded by one mutex, and
-//    page IO happens under it, which keeps the replacement order — and
-//    therefore the paper's disk-access counts — exactly the
-//    single-threaded LRU semantics. When every frame is pinned, a Fetch
-//    whose calling thread holds *all* the pins fails immediately with
-//    ResourceExhausted (waiting would self-deadlock; this preserves the
-//    single-threaded behaviour), otherwise it blocks on a condition
-//    variable until another thread releases a pin (bounded by
-//    kExhaustedWaitMs). A PageRef must be released on the thread that
-//    fetched it; frame contents are stable while pinned, so readers never
-//    need the mutex for data().
-//  * Zero-copy (frozen pools over lending backends): Fetch takes no lock at
-//    all. Nothing writes the pages while the pool is frozen, the backend's
-//    atomic first-touch claim decides which fetch counts as the miss, and
-//    the pool's counters and attachments (retry policy, tracer, heat map)
-//    are atomics. The frames keep their clean copies for Thaw() to resume
-//    from.
+//  * Zero-copy (frozen pools over lending backends): any number of threads
+//    may Fetch at once, and Fetch takes no lock at all. Nothing writes the
+//    pages while the pool is frozen, the backend's atomic first-touch
+//    claim decides which fetch counts as the miss, and the pool's counters
+//    and attachments (retry policy, tracer, heat map) are atomics. The
+//    frames keep their clean copies for Thaw() to resume from. Every query
+//    of the query service reads this way.
+//  * Copying (LRU frames): builds, the paper harness and direct users of
+//    on-disk pools fetch from one thread. Frame state is guarded by one
+//    mutex and page IO happens under it, so the replacement order — and
+//    therefore the paper's disk-access counts — is exactly the
+//    single-threaded LRU; the mutex also lets stats readers (evictions(),
+//    pinned_frames()) run on another thread. When every frame is pinned,
+//    Fetch and New fail at once with ResourceExhausted: nothing waits for
+//    a pin to be released. Frame contents are stable while pinned, so
+//    readers never need the mutex for data().
 //
 // Metric counters: the MetricCounters passed at construction have a single
 // writer. Threads that fetch concurrently must each install their own
@@ -54,7 +52,6 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -75,16 +72,6 @@ class PageHeatMap;  // full definition in lsdb/introspect/page_heat.h
 
 class BufferPool {
  public:
-  /// Upper bound on how long a Fetch/New waits for another thread to
-  /// release a pin before giving up with ResourceExhausted.
-  static constexpr int kExhaustedWaitMs = 1000;
-
-  /// Slice of the exhausted wait between cancel-token polls: a query
-  /// cancelled from another thread while parked on frame exhaustion
-  /// unblocks within this bound (deadline expiry is exact — the wait
-  /// never sleeps past the installed token's deadline).
-  static constexpr int kCancelPollMs = 10;
-
   /// Default bounded-retry policy for transient kIoError from the backing
   /// file: total attempts per IO, and the linear backoff unit between them
   /// (attempt k sleeps k * backoff_us). Deterministic — no jitter.
@@ -181,8 +168,8 @@ class BufferPool {
   // Lifetime pool behaviour, tracked independently of MetricCounters (the
   // paper's metrics are untouched; these exist for cache-behaviour reports
   // and the obs subsystem). Hit/miss/retry/checksum counts are relaxed
-  // atomics, exact once the pool is quiescent; evictions and pin waits
-  // exist only on the copying path and are guarded by the pool mutex.
+  // atomics, exact once the pool is quiescent; evictions exist only on the
+  // copying path and are guarded by the pool mutex.
 
   /// Fetches served from a resident frame (zero-copy: from a page already
   /// touched).
@@ -192,8 +179,9 @@ class BufferPool {
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   /// Pages pushed out of the pool to make room (LRU victims).
   uint64_t evictions() const LSDB_EXCLUDES(mu_);
-  /// Times a Fetch/New had to wait for another thread to release a pin.
-  uint64_t pin_waits() const LSDB_EXCLUDES(mu_);
+  /// Always 0: no Fetch/New waits for a pin. Kept because perfbench still
+  /// reports it as `storage.pin_waits`.
+  uint64_t pin_waits() const { return 0; }
   /// hits / (hits + misses); 0 when no fetches have happened yet. New()
   /// calls are neither hits nor misses (they never read the file).
   double hit_ratio() const;
@@ -215,11 +203,10 @@ class BufferPool {
   void SetRetryPolicy(uint32_t max_attempts, uint32_t backoff_us);
 
   /// Attaches `tracer` (not owned; may be null to detach) so pool events —
-  /// hit / miss / eviction / pin_wait — are emitted as sampled JSONL
-  /// lines tagged with `pool_name`, which must outlive the pool (a string
-  /// literal in practice). With no tracer attached (the default, and
-  /// always the case in the sequential paper harness) the cost is one
-  /// null-pointer test.
+  /// hit / miss / eviction — are emitted as sampled JSONL lines tagged
+  /// with `pool_name`, which must outlive the pool (a string literal in
+  /// practice). With no tracer attached (the default, and always the case
+  /// in the sequential paper harness) the cost is one null-pointer test.
   void SetTracer(Tracer* tracer, const char* pool_name);
 
   /// Attaches `heat` (not owned; may be null to detach) so every logical
@@ -252,9 +239,8 @@ class BufferPool {
   [[nodiscard]] StatusOr<PageRef> FetchZeroCopy(PageId id);
   /// Writes back every dirty frame (counts as disk writes).
   [[nodiscard]] Status FlushLocked() LSDB_REQUIRES(mu_);
-  /// Finds a frame for a new page: free frame, LRU-evicted victim, or —
-  /// when all frames are pinned by *other* threads — waits for a release.
-  /// May drop mu_ while waiting (CondVar), but holds it on entry and exit.
+  /// Finds a frame for a new page: a free frame or the LRU-evicted victim;
+  /// ResourceExhausted when every frame is pinned.
   [[nodiscard]] StatusOr<uint32_t> GetVictimFrame() LSDB_REQUIRES(mu_);
   /// Reads page `id` from the file with bounded transient-IO retries, then
   /// verifies its stored CRC-32C; a mismatch is Status::Corruption. Called
@@ -267,7 +253,6 @@ class BufferPool {
       LSDB_REQUIRES(mu_);
   void PinLocked(uint32_t frame) LSDB_REQUIRES(mu_);
   void Unpin(uint32_t frame) LSDB_EXCLUDES(mu_);
-  uint32_t SelfPinsLocked() const LSDB_REQUIRES(mu_);
   /// Emits `e` to the attached tracer, if any. Needs no lock: the copying
   /// path calls it with mu_ held, the zero-copy path without.
   void TraceEvent(PoolEvent e) const;
@@ -282,8 +267,8 @@ class BufferPool {
   std::atomic<bool> frozen_;
   std::atomic<bool> zero_copy_;
 
+  /// Guards the frame state of the copying path (see the file comment).
   mutable Mutex mu_{"BufferPool.mu"};
-  CondVar frame_released_;
 
   std::vector<Frame> frames_ LSDB_GUARDED_BY(mu_);
   std::unordered_map<PageId, uint32_t> page_to_frame_ LSDB_GUARDED_BY(mu_);
@@ -291,10 +276,6 @@ class BufferPool {
   std::list<uint32_t> lru_ LSDB_GUARDED_BY(mu_);
   std::vector<uint32_t> free_frames_ LSDB_GUARDED_BY(mu_);
   uint32_t total_pins_ LSDB_GUARDED_BY(mu_) = 0;
-  /// Outstanding pins per thread, for self-deadlock detection when the
-  /// pool is exhausted.
-  std::unordered_map<std::thread::id, uint32_t> pins_by_thread_
-      LSDB_GUARDED_BY(mu_);
 
   // Observability (see accessor docs). Copying-path writers hold mu_ and
   // update hits_/misses_ with a plain load and store; zero-copy writers
@@ -305,7 +286,6 @@ class BufferPool {
   std::atomic<uint64_t> io_retries_{0};
   std::atomic<uint64_t> checksum_failures_{0};
   uint64_t evictions_ LSDB_GUARDED_BY(mu_) = 0;
-  uint64_t pin_waits_ LSDB_GUARDED_BY(mu_) = 0;
   /// RetryPolicy packed as max_attempts << 32 | backoff_us.
   std::atomic<uint64_t> retry_policy_{
       uint64_t{kDefaultIoAttempts} << 32 | kDefaultIoBackoffUs};

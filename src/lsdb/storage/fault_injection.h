@@ -16,8 +16,8 @@
 //
 // A decorator starts transparent (empty plan, pure pass-through). Services
 // build their structures through it, then arm a plan once frozen, so build
-// determinism and the paper metrics are never affected. A frozen service
-// reads through MapPage(), where bit flips cannot be injected (see there).
+// determinism and the paper metrics are never affected. A service reads
+// only through MapPage(), where bit flips cannot be injected (see there).
 // While no plan is armed and no page is marked dead, every operation is a
 // lock-free pass-through: one atomic flag decides it, so a transparent
 // injector adds no lock to the zero-copy serving path.
@@ -54,7 +54,8 @@ struct FaultPlan {
   /// Silent corruption: one random bit of the page flips. On reads the
   /// returned buffer is corrupted; on writes the stored bytes are. The
   /// stored checksum is *not* recomputed, so the pool detects it. Lent
-  /// pages (MapPage) are never flipped.
+  /// pages (MapPage) are never flipped, so flips reach only copying pools
+  /// (builds, the paper harness and direct pool users), never a service.
   double bitflip_rate = 0.0;
   /// Torn write: only the first half of the page reaches storage, the rest
   /// stays zero/stale; the checksum still describes the full intended page.
@@ -139,10 +140,11 @@ class FaultInjectingPageFile : public PageFile {
   /// transient draws, and latency. Bit flips are the one fault that cannot
   /// be injected here: the view is the backend's own bytes, so there is no
   /// private buffer to corrupt, and `bitflips` stays 0 whatever the plan's
-  /// bitflip_rate. A built or zero-copy snapshot service therefore sees an
-  /// armed plan's transient and permanent faults but never its flips;
-  /// flips reach pools that copy (pool-copy snapshots, unfrozen pools) and
-  /// snapshot files corrupted on disk (the hostile-snapshot tests).
+  /// bitflip_rate. A service, which reads only lent pages, therefore sees
+  /// an armed plan's transient and permanent faults but never its flips;
+  /// flips reach only copying pools (builds, the paper harness, direct
+  /// pool users), and a snapshot file damaged on disk still fails its
+  /// first-touch checksum (the hostile-snapshot tests).
   [[nodiscard]] StatusOr<MappedPage> MapPage(PageId id)
       override LSDB_EXCLUDES(mu_);
   [[nodiscard]] StatusOr<PageId> Allocate() override { return base_->Allocate(); }

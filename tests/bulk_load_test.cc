@@ -192,7 +192,7 @@ struct EquivRig {
       : options(opt),
         seg_file(opt.page_size),
         seg_pool(&seg_file, opt.buffer_frames, nullptr),
-        table(&seg_pool, nullptr) {}
+        table(&seg_pool) {}
 
   template <typename T>
   IndexPair Make() {

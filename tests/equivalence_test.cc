@@ -31,7 +31,7 @@ struct Rig {
       : options(opt),
         seg_file(opt.page_size),
         seg_pool(&seg_file, opt.buffer_frames, nullptr),
-        table(&seg_pool, nullptr),
+        table(&seg_pool),
         rstar_file(opt.page_size),
         rplus_file(opt.page_size),
         pmr_file(opt.page_size),

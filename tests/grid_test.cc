@@ -13,7 +13,7 @@ struct GridFixture {
   GridFixture()
       : seg_file(256),
         seg_pool(&seg_file, 16, nullptr),
-        table(&seg_pool, nullptr),
+        table(&seg_pool),
         file(256),
         grid(Options(), &file, &table) {
     EXPECT_TRUE(grid.Init().ok());

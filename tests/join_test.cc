@@ -22,8 +22,8 @@ struct JoinRig {
         file_b(opt.page_size),
         pool_a(&file_a, opt.buffer_frames, nullptr),
         pool_b(&file_b, opt.buffer_frames, nullptr),
-        table_a(&pool_a, nullptr),
-        table_b(&pool_b, nullptr),
+        table_a(&pool_a),
+        table_b(&pool_b),
         pmr_a_file(opt.page_size),
         pmr_b_file(opt.page_size),
         rplus_b_file(opt.page_size),
@@ -118,7 +118,7 @@ TEST(JoinTest, MismatchedGeometryRejected) {
   b_opt.pmr_max_depth = 6;
   MemPageFile fa(a_opt.page_size), fb(b_opt.page_size);
   BufferPool pa(&fa, 8, nullptr), pb(&fb, 8, nullptr);
-  SegmentTable ta(&pa, nullptr), tb(&pb, nullptr);
+  SegmentTable ta(&pa), tb(&pb);
   MemPageFile ia(a_opt.page_size), ib(b_opt.page_size);
   PmrQuadtree qa(a_opt, &ia, &ta), qb(b_opt, &ib, &tb);
   ASSERT_TRUE(qa.Init().ok());

@@ -160,7 +160,7 @@ TEST(FaultInjectionTest, RStarPropagatesIoErrors) {
   BufferPool pool_unused(&file, 4, nullptr);  // not used by tree
   MemPageFile seg_file(256);
   BufferPool seg_pool(&seg_file, 4, nullptr);
-  SegmentTable table(&seg_pool, nullptr);
+  SegmentTable table(&seg_pool);
   IndexOptions opt;
   opt.page_size = 256;
   opt.buffer_frames = 4;
@@ -186,7 +186,7 @@ TEST(FaultInjectionTest, RStarPropagatesIoErrors) {
 TEST(FaultInjectionTest, SegmentTablePropagatesIoErrors) {
   FaultyPageFile file(256, 5);
   BufferPool pool(&file, 4, nullptr);
-  SegmentTable table(&pool, nullptr);
+  SegmentTable table(&pool);
   Status st;
   int i = 0;
   while (st.ok() && i < 10000) {

@@ -23,8 +23,6 @@
 #include "lsdb/service/circuit_breaker.h"
 #include "lsdb/service/query_service.h"
 #include "lsdb/service/worker_pool.h"
-#include "lsdb/storage/buffer_pool.h"
-#include "lsdb/storage/page_file.h"
 #include "lsdb/util/query_context.h"
 #include "lsdb/util/random.h"
 
@@ -371,94 +369,12 @@ TEST(WorkerPoolTest, SubmittedTasksCoexistWithParallelFor) {
   EXPECT_EQ(pool.tasks_pending(), 0u);
 }
 
-// -- BufferPool pin waits under a token --------------------------------------
-
-TEST(BufferPoolCancelTest, DeadlineExpiryDuringPinWaitUnblocksPromptly) {
-  MemPageFile file(256);
-  BufferPool pool(&file, /*frame_count=*/1, /*metrics=*/nullptr);
-  PageId id0 = kInvalidPageId, id1 = kInvalidPageId;
-  {
-    auto p = pool.New();
-    ASSERT_TRUE(p.ok());
-    id0 = p->id();
-  }
-  {
-    auto p = pool.New();
-    ASSERT_TRUE(p.ok());
-    id1 = p->id();
-  }
-  ASSERT_TRUE(pool.FlushAll().ok());
-
-  auto held = pool.Fetch(id0);  // pin the only frame from this thread
-  ASSERT_TRUE(held.ok());
-
-  Status got = Status::OK();
-  int64_t elapsed_ms = 0;
-  std::thread waiter([&] {
-    CancelToken tok;
-    tok.ArmBudget(50'000'000);  // 50 ms, far below kExhaustedWaitMs
-    ScopedQueryContext scope({.cancel = &tok});
-    const auto start = std::chrono::steady_clock::now();
-    auto r = pool.Fetch(id1);
-    elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-    got = r.ok() ? Status::OK() : r.status();
-  });
-  waiter.join();
-  EXPECT_TRUE(got.IsDeadlineExceeded()) << got.ToString();
-  // The wait must give up at the token deadline, not the pool's 1 s
-  // exhaustion fallback (generous bound against scheduler jitter).
-  EXPECT_LT(elapsed_ms, 800);
-  EXPECT_GE(pool.pin_waits(), 1u);
-
-  held->Release();
-  auto after = pool.Fetch(id1);
-  EXPECT_TRUE(after.ok()) << after.status().ToString();
-}
-
-TEST(BufferPoolCancelTest, CrossThreadCancelUnparksPinWait) {
-  MemPageFile file(256);
-  BufferPool pool(&file, /*frame_count=*/1, /*metrics=*/nullptr);
-  PageId id0 = kInvalidPageId, id1 = kInvalidPageId;
-  {
-    auto p = pool.New();
-    ASSERT_TRUE(p.ok());
-    id0 = p->id();
-  }
-  {
-    auto p = pool.New();
-    ASSERT_TRUE(p.ok());
-    id1 = p->id();
-  }
-  ASSERT_TRUE(pool.FlushAll().ok());
-
-  auto held = pool.Fetch(id0);
-  ASSERT_TRUE(held.ok());
-
-  CancelToken tok;  // no deadline: only the cancel flag can unpark it
-  Status got = Status::OK();
-  std::thread waiter([&] {
-    ScopedQueryContext scope({.cancel = &tok});
-    auto r = pool.Fetch(id1);
-    got = r.ok() ? Status::OK() : r.status();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  tok.Cancel();
-  waiter.join();
-  EXPECT_TRUE(got.IsCancelled()) << got.ToString();
-  held->Release();
-}
-
 // -- Service-level deadlines and cancellation --------------------------------
 
 class OverloadServiceTest : public ::testing::Test {
  protected:
   void Build(ServiceOptions opt) {
     map_ = SmallMap();
-    // Small serving pools so descents perform real page traffic (and so
-    // checkpoints at node-load granularity actually run).
-    opt.serving_buffer_frames = 16;
     auto svc = QueryService::Build(map_, opt);
     ASSERT_TRUE(svc.ok()) << svc.status().ToString();
     svc_ = std::move(*svc);

@@ -73,7 +73,7 @@ TYPED_TEST(PersistenceTest, ReopenedIndexAnswersIdentically) {
     auto index_file = PosixPageFile::Create(paths.index, opt.page_size);
     ASSERT_TRUE(table_file.ok() && index_file.ok());
     BufferPool table_pool(table_file->get(), opt.buffer_frames, nullptr);
-    SegmentTable table(&table_pool, nullptr);
+    SegmentTable table(&table_pool);
     TypeParam index(opt, index_file->get(), &table);
     ASSERT_TRUE(index.Init().ok());
     for (const Segment& s : segs) {
@@ -96,7 +96,7 @@ TYPED_TEST(PersistenceTest, ReopenedIndexAnswersIdentically) {
     auto index_file = PosixPageFile::Open(paths.index, opt.page_size);
     ASSERT_TRUE(table_file.ok() && index_file.ok());
     BufferPool table_pool(table_file->get(), opt.buffer_frames, nullptr);
-    SegmentTable table(&table_pool, nullptr);
+    SegmentTable table(&table_pool);
     ASSERT_TRUE(table.Open().ok());
     EXPECT_EQ(table.size(), segs.size());
     TypeParam index(opt, index_file->get(), &table);
@@ -137,7 +137,7 @@ TYPED_TEST(PersistenceTest, OnDiskCorruptionIsTypedNotFatal) {
     auto index_file = PosixPageFile::Create(index_path, opt.page_size);
     ASSERT_TRUE(table_file.ok() && index_file.ok());
     BufferPool table_pool(table_file->get(), opt.buffer_frames, nullptr);
-    SegmentTable table(&table_pool, nullptr);
+    SegmentTable table(&table_pool);
     TypeParam index(opt, index_file->get(), &table);
     ASSERT_TRUE(index.Init().ok());
     for (const Segment& s : segs) {
@@ -177,7 +177,7 @@ TYPED_TEST(PersistenceTest, OnDiskCorruptionIsTypedNotFatal) {
   auto index_file = PosixPageFile::Open(index_path, opt.page_size);
   ASSERT_TRUE(table_file.ok() && index_file.ok());
   BufferPool table_pool(table_file->get(), opt.buffer_frames, nullptr);
-  SegmentTable table(&table_pool, nullptr);
+  SegmentTable table(&table_pool);
   ASSERT_TRUE(table.Open().ok());
   TypeParam index(opt, index_file->get(), &table);
   const Status open_status = index.Open();
@@ -215,10 +215,10 @@ TEST(PersistenceNegativeTest, KindMismatchRejected) {
     auto file = PosixPageFile::Create(path, opt.page_size);
     ASSERT_TRUE(file.ok());
     BufferPool pool(file->get(), opt.buffer_frames, nullptr);
-    SegmentTable dummy_table(&pool, nullptr);  // unused
+    SegmentTable dummy_table(&pool);  // unused
     MemPageFile seg_mem(opt.page_size);
     BufferPool seg_pool(&seg_mem, 4, nullptr);
-    SegmentTable table(&seg_pool, nullptr);
+    SegmentTable table(&seg_pool);
     PmrQuadtree pmr(opt, file->get(), &table);
     ASSERT_TRUE(pmr.Init().ok());
     ASSERT_TRUE(pmr.Flush().ok());
@@ -227,7 +227,7 @@ TEST(PersistenceNegativeTest, KindMismatchRejected) {
   ASSERT_TRUE(file.ok());
   MemPageFile seg_mem(opt.page_size);
   BufferPool seg_pool(&seg_mem, 4, nullptr);
-  SegmentTable table(&seg_pool, nullptr);
+  SegmentTable table(&seg_pool);
   RStarTree rstar(opt, file->get(), &table);
   EXPECT_TRUE(rstar.Open().IsInvalidArgument());
 }
@@ -237,7 +237,7 @@ TEST(PersistenceNegativeTest, OptionMismatchRejected) {
   const std::string path = UniquePath("opts");
   MemPageFile seg_mem(opt.page_size);
   BufferPool seg_pool(&seg_mem, 4, nullptr);
-  SegmentTable table(&seg_pool, nullptr);
+  SegmentTable table(&seg_pool);
   {
     auto file = PosixPageFile::Create(path, opt.page_size);
     ASSERT_TRUE(file.ok());
@@ -258,7 +258,7 @@ TEST(PersistenceNegativeTest, InitRequiresFreshFile) {
   MemPageFile file(opt.page_size);
   MemPageFile seg_mem(opt.page_size);
   BufferPool seg_pool(&seg_mem, 4, nullptr);
-  SegmentTable table(&seg_pool, nullptr);
+  SegmentTable table(&seg_pool);
   {
     PmrQuadtree first(opt, &file, &table);
     ASSERT_TRUE(first.Init().ok());

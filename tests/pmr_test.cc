@@ -5,6 +5,8 @@
 #include "lsdb/pmr/pmr_quadtree.h"
 #include "lsdb/pmr/window_decompose.h"
 #include "lsdb/seg/segment_table.h"
+#include "lsdb/service/cancel.h"
+#include "lsdb/util/query_context.h"
 #include "test_util.h"
 
 namespace lsdb {
@@ -19,7 +21,7 @@ struct PmrFixture {
       : options(opt),
         seg_file(opt.page_size),
         seg_pool(&seg_file, opt.buffer_frames, nullptr),
-        table(&seg_pool, nullptr),
+        table(&seg_pool),
         file(opt.page_size),
         tree(opt, &file, &table) {
     EXPECT_TRUE(tree.Init().ok());
@@ -471,6 +473,45 @@ TEST(PmrCorruptKeyTest, PoisonedDepthNibbleIsTypedCorruption) {
       EXPECT_TRUE(ps.ok() || ps.IsCorruption()) << ps.ToString();
     }
   }
+}
+
+// Regression for the leaf walk's progress check: erase every tuple of one
+// leaf, sentinel included, so the predecessor probe for its cells finds the
+// leaf before it, which ends at or before the probed cell. The walk must
+// fail typed instead of finding that leaf forever; the 5 s budget turns a
+// regression into DeadlineExceeded instead of a hung test.
+TEST(PmrCorruptKeyTest, MissingLeafIsTypedCorruptionNotASpin) {
+  PmrFixture f;
+  Rng rng(91);
+  const auto segs = RandomSegments(&rng, 40, 1024, 64);
+  for (const Segment& s : segs) f.Add(s);
+
+  std::vector<QuadBlock> leaves;
+  ASSERT_TRUE(f.tree.CollectLeafBlocks(&leaves).ok());
+  ASSERT_GE(leaves.size(), 2u);
+  const QuadGeometry& geom = f.tree.geometry();
+  const QuadBlock gone = leaves[1];  // leaves are in Z order
+  std::vector<uint64_t> keys;
+  ASSERT_TRUE(f.tree.btree()
+                  ->Scan(geom.BlockKeyLow(gone), geom.BlockKeyHigh(gone),
+                         [&](uint64_t k, const uint8_t*) {
+                           keys.push_back(k);
+                           return true;
+                         })
+                  .ok());
+  ASSERT_FALSE(keys.empty());
+  for (uint64_t k : keys) ASSERT_TRUE(f.tree.btree()->Erase(k).ok());
+
+  CancelToken budget;
+  budget.ArmBudget(5'000'000'000);
+  ScopedQueryContext scope({.cancel = &budget});
+  std::vector<SegmentHit> hits;
+  const Status ws = f.tree.WindowQueryEx(geom.WorldRect(), &hits);
+  EXPECT_TRUE(ws.IsCorruption()) << ws.ToString();
+  // A point inside the erased leaf: the first window already covers it.
+  const Rect region = geom.BlockRegion(gone);
+  const auto nn = f.tree.Nearest(Point{region.xmin, region.ymin});
+  EXPECT_TRUE(nn.status().IsCorruption()) << nn.status().ToString();
 }
 
 }  // namespace

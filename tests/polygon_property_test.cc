@@ -24,7 +24,7 @@ struct MapRig {
       : options(MakeOptions(world_log2)),
         seg_file(options.page_size),
         seg_pool(&seg_file, options.buffer_frames, nullptr),
-        table(&seg_pool, nullptr),
+        table(&seg_pool),
         rstar_file(options.page_size),
         rplus_file(options.page_size),
         pmr_file(options.page_size),
@@ -149,7 +149,7 @@ TEST(TwoStagePointsTest, PreferDenseRegions) {
   IndexOptions opt = MapRig::MakeOptions(12);
   MemPageFile seg_file(opt.page_size);
   BufferPool seg_pool(&seg_file, 16, nullptr);
-  SegmentTable table(&seg_pool, nullptr);
+  SegmentTable table(&seg_pool);
   MemPageFile pmr_file(opt.page_size);
   PmrQuadtree pmr(opt, &pmr_file, &table);
   ASSERT_TRUE(pmr.Init().ok());

@@ -16,7 +16,7 @@ struct RPlusFixture {
       : options(opt),
         seg_file(opt.page_size),
         seg_pool(&seg_file, opt.buffer_frames, nullptr),
-        table(&seg_pool, nullptr),
+        table(&seg_pool),
         file(opt.page_size),
         tree(opt, &file, &table, policy) {
     EXPECT_TRUE(tree.Init().ok());

@@ -15,7 +15,7 @@ struct RStarFixture {
       : options(opt),
         seg_file(opt.page_size),
         seg_pool(&seg_file, opt.buffer_frames, nullptr),
-        table(&seg_pool, nullptr),
+        table(&seg_pool),
         file(opt.page_size),
         tree(opt, &file, &table) {
     EXPECT_TRUE(tree.Init().ok());
@@ -150,7 +150,7 @@ TEST(RStarTest, PaperPageCapacityAt1K) {
   opt.page_size = 1024;
   MemPageFile seg_file(1024);
   BufferPool seg_pool(&seg_file, 16, nullptr);
-  SegmentTable table(&seg_pool, nullptr);
+  SegmentTable table(&seg_pool);
   MemPageFile file(1024);
   RStarTree tree(opt, &file, &table);
   // "each 1K byte page contains a maximum of 50 line segments":

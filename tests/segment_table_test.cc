@@ -8,9 +8,8 @@ namespace {
 
 TEST(SegmentTableTest, AppendAndGet) {
   MemPageFile file(1024);
-  MetricCounters metrics;
   BufferPool pool(&file, 16, nullptr);
-  SegmentTable table(&pool, &metrics);
+  SegmentTable table(&pool);
   EXPECT_EQ(table.records_per_page(), 64u);  // 1024 / 16 bytes
 
   std::vector<Segment> segs;
@@ -30,13 +29,12 @@ TEST(SegmentTableTest, AppendAndGet) {
     ASSERT_TRUE(table.Get(static_cast<SegmentId>(i), &s).ok());
     EXPECT_EQ(s, segs[i]);
   }
-  EXPECT_EQ(metrics.segment_comps, 1000u);  // one per Get
 }
 
 TEST(SegmentTableTest, NegativeCoordinatesSurvive) {
   MemPageFile file(256);
   BufferPool pool(&file, 4, nullptr);
-  SegmentTable table(&pool, nullptr);
+  SegmentTable table(&pool);
   const Segment s{{-5, -7}, {3, 2}};
   auto id = table.Append(s);
   ASSERT_TRUE(id.ok());
@@ -48,7 +46,7 @@ TEST(SegmentTableTest, NegativeCoordinatesSurvive) {
 TEST(SegmentTableTest, OutOfRangeRejected) {
   MemPageFile file(256);
   BufferPool pool(&file, 4, nullptr);
-  SegmentTable table(&pool, nullptr);
+  SegmentTable table(&pool);
   Segment out;
   EXPECT_TRUE(table.Get(0, &out).IsInvalidArgument());
 }
@@ -56,7 +54,7 @@ TEST(SegmentTableTest, OutOfRangeRejected) {
 TEST(SegmentTableTest, BytesGrowWithPages) {
   MemPageFile file(256);  // 16 records per page
   BufferPool pool(&file, 4, nullptr);
-  SegmentTable table(&pool, nullptr);
+  SegmentTable table(&pool);
   for (int i = 0; i < 17; ++i) {
     ASSERT_TRUE(table.Append(Segment{{0, 0}, {1, 1}}).ok());
   }

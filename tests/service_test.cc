@@ -1,17 +1,17 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "lsdb/data/county_generator.h"
+#include "lsdb/query/incident.h"
 #include "lsdb/service/query_service.h"
 #include "lsdb/service/worker_pool.h"
 #include "lsdb/util/random.h"
+#include "test_util.h"
 
 namespace lsdb {
 namespace {
@@ -141,14 +141,46 @@ TEST_F(QueryServiceTest, FrozenIndexStillAnswersQueries) {
   }
 }
 
+// A thawed index is mutable, and the service refuses its queries until it
+// is frozen again: service queries read only frozen, lent pages.
 TEST_F(QueryServiceTest, ThawReenablesMutation) {
-  Build(1);
-  SpatialIndex* idx = svc_->index(ServedIndex::kRStar);
+  Build(2);
+  const ServedIndex which = ServedIndex::kRStar;
+  SpatialIndex* idx = svc_->index(which);
+  const auto batch = MixedBatch(map_, 40, 19);
   idx->Thaw();
   const Segment s = map_.segments[0];
   EXPECT_TRUE(idx->Erase(0, s).ok());
   EXPECT_TRUE(idx->Insert(0, s).ok());
-  EXPECT_TRUE(idx->Freeze().ok());
+  testing::ExpectThawedIndexRefused(svc_.get(), which, batch);
+  // The refusal precedes the breaker: an open breaker neither rejects the
+  // queries as Unavailable nor is closed by them (the breaker counts
+  // InvalidArgument as a success). The admitted path would shed them at
+  // submit while the breaker is open, so only the batch paths run here.
+  CircuitBreaker& breaker = svc_->breaker(which);
+  for (uint32_t i = 0; i < breaker.options().failure_threshold; ++i) {
+    breaker.RecordFailure();
+  }
+  ASSERT_TRUE(breaker.open());
+  for (const auto& res : {svc_->ExecuteBatch(which, batch),
+                          svc_->ExecuteBatchSequential(which, batch)}) {
+    ASSERT_TRUE(res.ok());
+    for (const QueryResponse& r : res->responses) {
+      EXPECT_TRUE(r.status.IsInvalidArgument()) << r.status.ToString();
+    }
+  }
+  EXPECT_TRUE(breaker.open());
+  EXPECT_EQ(breaker.times_opened(), 1u);
+  breaker.Reset();
+
+  ASSERT_TRUE(idx->Freeze().ok());
+  auto truth = svc_->ExecuteBatchSequential(which, batch);
+  auto par = svc_->ExecuteBatch(which, batch);
+  ASSERT_TRUE(truth.ok() && par.ok());
+  EXPECT_TRUE(SameResponses(*par, *truth));
+  for (const QueryResponse& r : truth->responses) {
+    EXPECT_FALSE(r.status.IsInvalidArgument()) << r.status.ToString();
+  }
 }
 
 TEST_F(QueryServiceTest, BatchMatchesDirectQueries) {
@@ -202,6 +234,54 @@ TEST_F(QueryServiceTest, ServingDoesNotPerturbIndexCounters) {
     EXPECT_EQ((after - before).segment_comps, 0u);
     EXPECT_EQ((after - before).bbox_comps, 0u);
     EXPECT_EQ((after - before).bucket_comps, 0u);
+  }
+}
+
+/// Replays `batch` directly on `idx`, outside the service, and returns what
+/// it added to the index-owned counters: the paper harness's accounting.
+MetricCounters DirectReplay(SpatialIndex* idx,
+                            const std::vector<QueryRequest>& batch) {
+  const MetricCounters before = idx->metrics();
+  for (const QueryRequest& q : batch) {
+    std::vector<SegmentHit> hits;
+    switch (q.type) {
+      case QueryType::kPoint:
+        EXPECT_TRUE(idx->PointQueryEx(q.point, &hits).ok());
+        break;
+      case QueryType::kWindow:
+        EXPECT_TRUE(idx->WindowQueryEx(q.window, &hits).ok());
+        break;
+      case QueryType::kNearest:
+        EXPECT_TRUE(idx->Nearest(q.point).ok());
+        break;
+      case QueryType::kIncident:
+        EXPECT_TRUE(IncidentSegments(idx, q.point, &hits).ok());
+        break;
+    }
+  }
+  return idx->metrics() - before;
+}
+
+// The service counts each comparison once, as the harness does: both
+// executors report the same segment, bbox and bucket comparisons as a
+// direct replay on the index-owned counters. (Disk reads and page fetches
+// differ by design: first-touch accounting, and the service's counters
+// also receive the segment table pool's fetches.)
+TEST_F(QueryServiceTest, ServiceComparisonCountsEqualDirectIndexCounts) {
+  Build(4);
+  const auto batch = MixedBatch(map_, 400, 23);
+  for (ServedIndex which : kAllServedIndexes) {
+    SCOPED_TRACE(ServedIndexName(which));
+    const MetricCounters direct = DirectReplay(svc_->index(which), batch);
+    EXPECT_GT(direct.segment_comps, 0u);
+    auto seq = svc_->ExecuteBatchSequential(which, batch);
+    auto par = svc_->ExecuteBatch(which, batch);
+    ASSERT_TRUE(seq.ok() && par.ok());
+    for (const MetricCounters& served : {seq->metrics, par->metrics}) {
+      EXPECT_EQ(served.segment_comps, direct.segment_comps);
+      EXPECT_EQ(served.bbox_comps, direct.bbox_comps);
+      EXPECT_EQ(served.bucket_comps, direct.bucket_comps);
+    }
   }
 }
 
@@ -292,18 +372,14 @@ class ServiceRobustnessTest : public ::testing::Test {
  protected:
   void Build(const ServiceOptions& base) {
     map_ = SmallMap();
-    ServiceOptions opt = base;
     // A built service's frozen pools reach the (possibly faulty) page
-    // files on every fetch; small pools keep the LRU frames of a thawed or
-    // pool-copy service from absorbing reads in a warm cache too.
-    opt.serving_buffer_frames = 16;
-    auto svc = QueryService::Build(map_, opt);
+    // files on every fetch: no warm cache absorbs a read.
+    auto svc = QueryService::Build(map_, base);
     ASSERT_TRUE(svc.ok()) << svc.status().ToString();
     svc_ = std::move(*svc);
   }
 
-  /// Full-world windows: each touches more pages than the 16-frame pool
-  /// holds, so every query performs real reads.
+  /// Full-world windows: each reads many pages of the structure.
   std::vector<QueryRequest> FullWindows(size_t n) {
     return std::vector<QueryRequest>(
         n, QueryRequest::WindowQ(Rect::Of(0, 0, 16383, 16383)));
@@ -371,10 +447,12 @@ TEST_F(ServiceRobustnessTest, BreakerTripsWhileOtherStructuresKeepServing) {
 // 0.1% bit-flip plan, 10k mixed queries per structure across 4 workers.
 // The batch must complete with every response either ok or a typed
 // kIoError / kCorruption / kUnavailable — no crashes, no untyped errors.
-// The built service serves lent pages, where no bit can be flipped (see
-// FaultInjectingPageFile::MapPage), so the same plan is replayed on a
-// pool-copy snapshot of it, whose reads copy and can be flipped: there the
-// flips must surface as checksum failures.
+// The service serves lent pages, where no bit can be flipped (see
+// FaultInjectingPageFile::MapPage), so the plan's flips never fire here.
+// PoolRetryTest.BitflipCorruptionIsDetectedByChecksum pins flip detection
+// on the copying path; the snapshot corruption tests and
+// FrozenPoolTest.PageRewrittenWithABadChecksumFailsItsNextFrozenFetch pin
+// it on the lent path.
 TEST_F(ServiceRobustnessTest, SeededFaultPlanTenThousandQueriesAllTyped) {
   ServiceOptions opt;
   opt.num_threads = 4;
@@ -383,47 +461,20 @@ TEST_F(ServiceRobustnessTest, SeededFaultPlanTenThousandQueriesAllTyped) {
   opt.fault_plan.bitflip_rate = 0.001;
   Build(opt);
   auto batch = MixedBatch(map_, 10000, 42);
-  // Runs the batch on every structure of `svc`: every response typed, most
-  // of them ok, and some fault injected on each structure.
-  auto run_all_typed = [&](QueryService* svc, const char* mode) {
-    for (ServedIndex which : kAllServedIndexes) {
-      auto res = svc->ExecuteBatch(which, batch);
-      ASSERT_TRUE(res.ok()) << res.status().ToString();
-      size_t ok = 0;
-      for (const QueryResponse& r : res->responses) {
-        ASSERT_TRUE(IsTypedServingStatus(r.status))
-            << mode << " " << ServedIndexName(which) << ": "
-            << r.status.ToString();
-        ok += r.status.ok();
-      }
-      // Retries absorb most transient faults; the vast majority succeeds.
-      EXPECT_GT(ok, batch.size() / 2) << mode << " " << ServedIndexName(which);
-      EXPECT_GT(svc->fault_injector(which)->stats().total_faults(), 0u)
-          << mode << " " << ServedIndexName(which);
-    }
-  };
-  run_all_typed(svc_.get(), "built");
   for (ServedIndex which : kAllServedIndexes) {
+    auto res = svc_->ExecuteBatch(which, batch);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    size_t ok = 0;
+    for (const QueryResponse& r : res->responses) {
+      ASSERT_TRUE(IsTypedServingStatus(r.status))
+          << ServedIndexName(which) << ": " << r.status.ToString();
+      ok += r.status.ok();
+    }
+    // Retries absorb most transient faults; the vast majority succeeds.
+    EXPECT_GT(ok, batch.size() / 2) << ServedIndexName(which);
     const FaultStats& st = svc_->fault_injector(which)->stats();
     EXPECT_EQ(st.bitflips.load(), 0u) << ServedIndexName(which);
     EXPECT_GT(st.transient_read_faults.load(), 0u) << ServedIndexName(which);
-  }
-
-  const std::string path = ::testing::TempDir() + "/lsdb_faulty_copy_" +
-                           std::to_string(::getpid()) + ".lsnap";
-  ASSERT_TRUE(svc_->WriteSnapshot(path).ok());
-  ServiceOptions copy_opt = opt;
-  copy_opt.serving_buffer_frames = 16;
-  auto copy = QueryService::OpenFromSnapshot(path, copy_opt,
-                                             /*zero_copy=*/false);
-  std::remove(path.c_str());
-  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
-  run_all_typed(copy->get(), "pool-copy");
-  for (ServedIndex which : kAllServedIndexes) {
-    EXPECT_GT((*copy)->fault_injector(which)->stats().bitflips.load(), 0u)
-        << ServedIndexName(which);
-    EXPECT_GT((*copy)->index(which)->pool()->checksum_failures(), 0u)
-        << ServedIndexName(which);
   }
   // The robustness metrics are exported through the /metrics snapshot.
   const std::string prom = svc_->stats().RenderPrometheus();

@@ -1,9 +1,9 @@
-// Snapshot subsystem: round-trip equivalence of a service served from a
-// single-file snapshot (mmap zero-copy and pool-copy modes), hostile-file
-// validation (every structural corruption is a typed error, never a
-// crash), snapshot serving under the storage fault injector, mutation
-// refused on thawed snapshot indexes, and the lock-free zero-copy read path
-// under concurrent traffic, on snapshot-served and built services.
+// Snapshot subsystem: round-trip equivalence of a service served zero-copy
+// from a single-file snapshot, hostile-file validation (every structural
+// corruption is a typed error, never a crash), snapshot serving under the
+// storage fault injector, mutation and queries refused on thawed snapshot
+// indexes, and the lock-free zero-copy read path under concurrent traffic,
+// on snapshot-served and built services.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -22,6 +22,7 @@
 #include "lsdb/snapshot/snapshot_format.h"
 #include "lsdb/snapshot/snapshot_reader.h"
 #include "lsdb/util/random.h"
+#include "test_util.h"
 
 namespace lsdb {
 namespace {
@@ -92,25 +93,22 @@ TEST(SnapshotTest, RoundTripServesIdenticalResponses) {
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   ASSERT_TRUE((*built)->WriteSnapshot(path).ok());
 
-  auto via_mmap = QueryService::OpenFromSnapshot(path, opt,
-                                                 /*zero_copy=*/true);
+  auto via_mmap = QueryService::OpenFromSnapshot(path, opt);
   ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().ToString();
-  auto via_pool = QueryService::OpenFromSnapshot(path, opt,
-                                                 /*zero_copy=*/false);
-  ASSERT_TRUE(via_pool.ok()) << via_pool.status().ToString();
+  // A snapshot service serves zero-copy only: pool-copy is refused.
+  EXPECT_TRUE(QueryService::OpenFromSnapshot(path, opt, /*zero_copy=*/false)
+                  .status()
+                  .IsInvalidArgument());
   EXPECT_TRUE((*via_mmap)->from_snapshot());
   EXPECT_FALSE((*built)->from_snapshot());
   EXPECT_EQ((*via_mmap)->segment_count(), (*built)->segment_count());
-  EXPECT_EQ((*via_pool)->segment_count(), (*built)->segment_count());
 
   const auto batch = MixedBatch(map, 600, 23);
   for (ServedIndex which : kAllServedIndexes) {
     auto truth = (*built)->ExecuteBatch(which, batch);
     auto mm = (*via_mmap)->ExecuteBatch(which, batch);
-    auto pl = (*via_pool)->ExecuteBatch(which, batch);
-    ASSERT_TRUE(truth.ok() && mm.ok() && pl.ok()) << ServedIndexName(which);
+    ASSERT_TRUE(truth.ok() && mm.ok()) << ServedIndexName(which);
     EXPECT_TRUE(SameResponses(*truth, *mm)) << ServedIndexName(which);
-    EXPECT_TRUE(SameResponses(*truth, *pl)) << ServedIndexName(which);
   }
   std::remove(path.c_str());
 }
@@ -171,9 +169,9 @@ TEST(SnapshotTest, ResnapshotOfSnapshotServiceIsByteIdentical) {
 }
 
 // Thawing a snapshot-served index must not make it mutable: its pages are
-// a read-only mapping (zero-copy) or can never be written back (pool-copy).
-// Insert/Erase are refused before any page is fetched, and the service
-// answers exactly as before once the index is frozen again.
+// a read-only mapping. Insert/Erase are refused before any page is fetched,
+// the service refuses its queries while it is thawed, and it answers
+// exactly as before once the index is frozen again.
 TEST(SnapshotTest, ThawedSnapshotIndexRefusesMutation) {
   const PolygonalMap map = SmallMap();
   const std::string path = ::testing::TempDir() + "/lsdb_thaw_" +
@@ -188,26 +186,22 @@ TEST(SnapshotTest, ThawedSnapshotIndexRefusesMutation) {
   }
   const auto batch = MixedBatch(map, 200, 61);
   const Segment seg = map.segments[0];
-  for (const bool zero_copy : {true, false}) {
-    const char* mode = zero_copy ? "zero-copy" : "pool-copy";
-    auto svc = QueryService::OpenFromSnapshot(path, opt, zero_copy);
-    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
-    for (ServedIndex which : kAllServedIndexes) {
-      auto before = (*svc)->ExecuteBatch(which, batch);
-      ASSERT_TRUE(before.ok());
-      SpatialIndex* idx = (*svc)->index(which);
-      idx->Thaw();
-      EXPECT_FALSE(idx->frozen());
-      EXPECT_TRUE(idx->Erase(0, seg).IsInvalidArgument())
-          << mode << " " << ServedIndexName(which);
-      EXPECT_TRUE(idx->Insert(0, seg).IsInvalidArgument())
-          << mode << " " << ServedIndexName(which);
-      ASSERT_TRUE(idx->Freeze().ok()) << mode;
-      auto after = (*svc)->ExecuteBatch(which, batch);
-      ASSERT_TRUE(after.ok());
-      EXPECT_TRUE(SameResponses(*before, *after))
-          << mode << " " << ServedIndexName(which);
-    }
+  auto svc = QueryService::OpenFromSnapshot(path, opt);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  for (ServedIndex which : kAllServedIndexes) {
+    SCOPED_TRACE(ServedIndexName(which));
+    auto before = (*svc)->ExecuteBatch(which, batch);
+    ASSERT_TRUE(before.ok());
+    SpatialIndex* idx = (*svc)->index(which);
+    idx->Thaw();
+    EXPECT_FALSE(idx->frozen());
+    EXPECT_TRUE(idx->Erase(0, seg).IsInvalidArgument());
+    EXPECT_TRUE(idx->Insert(0, seg).IsInvalidArgument());
+    testing::ExpectThawedIndexRefused(svc->get(), which, batch);
+    ASSERT_TRUE(idx->Freeze().ok());
+    auto after = (*svc)->ExecuteBatch(which, batch);
+    ASSERT_TRUE(after.ok());
+    EXPECT_TRUE(SameResponses(*before, *after));
   }
   std::remove(path.c_str());
 }
@@ -418,30 +412,28 @@ TEST_F(SnapshotCorruptionTest, FlippedPayloadByteFailsSectionVerify) {
   EXPECT_TRUE(verify.IsCorruption()) << verify.ToString();
 
   // Serving from the damaged file must never crash: every query outcome is
-  // ok or typed, and the flipped page itself surfaces as Corruption.
+  // ok or typed, and the flipped page itself surfaces as Corruption when
+  // its first touch verifies it.
   ServiceOptions opt;
   opt.num_threads = 2;
-  opt.serving_buffer_frames = 16;
-  for (const bool zero_copy : {true, false}) {
-    auto svc = QueryService::OpenFromSnapshot(path_, opt, zero_copy);
-    if (!svc.ok()) {
-      // The flipped page was on the structure-open path.
-      EXPECT_TRUE(svc.status().IsCorruption()) << svc.status().ToString();
-      continue;
-    }
-    const std::vector<QueryRequest> windows(
-        50, QueryRequest::WindowQ(Rect::Of(0, 0, 16383, 16383)));
-    auto res = (*svc)->ExecuteBatch(ServedIndex::kRStar, windows);
-    ASSERT_TRUE(res.ok());
-    size_t corruptions = 0;
-    for (const QueryResponse& r : res->responses) {
-      ASSERT_TRUE(r.status.ok() || r.status.IsCorruption() ||
-                  r.status.IsUnavailable() || r.status.IsIoError())
-          << r.status.ToString();
-      corruptions += r.status.IsCorruption();
-    }
-    EXPECT_GT(corruptions, 0u) << (zero_copy ? "mmap" : "pool");
+  auto svc = QueryService::OpenFromSnapshot(path_, opt);
+  if (!svc.ok()) {
+    // The flipped page was on the structure-open path.
+    EXPECT_TRUE(svc.status().IsCorruption()) << svc.status().ToString();
+    return;
   }
+  const std::vector<QueryRequest> windows(
+      50, QueryRequest::WindowQ(Rect::Of(0, 0, 16383, 16383)));
+  auto res = (*svc)->ExecuteBatch(ServedIndex::kRStar, windows);
+  ASSERT_TRUE(res.ok());
+  size_t corruptions = 0;
+  for (const QueryResponse& r : res->responses) {
+    ASSERT_TRUE(r.status.ok() || r.status.IsCorruption() ||
+                r.status.IsUnavailable() || r.status.IsIoError())
+        << r.status.ToString();
+    corruptions += r.status.IsCorruption();
+  }
+  EXPECT_GT(corruptions, 0u);
 }
 
 // -- Fault injection over snapshot serving -----------------------------------
@@ -458,30 +450,27 @@ TEST(SnapshotFaultTest, TransientMapFaultsAreRetriedAndTyped) {
 
   ServiceOptions opt;
   opt.num_threads = 2;
-  opt.serving_buffer_frames = 16;
   opt.inject_faults = true;
   opt.fault_plan.read_transient_rate = 0.01;
-  for (const bool zero_copy : {true, false}) {
-    auto svc = QueryService::OpenFromSnapshot(path, opt, zero_copy);
-    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
-    const auto batch = MixedBatch(map, 2000, 47);
-    uint64_t faults = 0;
-    for (ServedIndex which : kAllServedIndexes) {
-      auto res = (*svc)->ExecuteBatch(which, batch);
-      ASSERT_TRUE(res.ok()) << res.status().ToString();
-      size_t ok = 0;
-      for (const QueryResponse& r : res->responses) {
-        ASSERT_TRUE(r.status.ok() || r.status.IsIoError() ||
-                    r.status.IsCorruption() || r.status.IsUnavailable())
-            << ServedIndexName(which) << ": " << r.status.ToString();
-        ok += r.status.ok();
-      }
-      // Bounded retries absorb most 1% transient faults.
-      EXPECT_GT(ok, batch.size() / 2) << ServedIndexName(which);
-      faults += (*svc)->fault_injector(which)->stats().total_faults();
+  auto svc = QueryService::OpenFromSnapshot(path, opt);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  const auto batch = MixedBatch(map, 2000, 47);
+  uint64_t faults = 0;
+  for (ServedIndex which : kAllServedIndexes) {
+    auto res = (*svc)->ExecuteBatch(which, batch);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    size_t ok = 0;
+    for (const QueryResponse& r : res->responses) {
+      ASSERT_TRUE(r.status.ok() || r.status.IsIoError() ||
+                  r.status.IsCorruption() || r.status.IsUnavailable())
+          << ServedIndexName(which) << ": " << r.status.ToString();
+      ok += r.status.ok();
     }
-    EXPECT_GT(faults, 0u) << (zero_copy ? "mmap" : "pool");
+    // Bounded retries absorb most 1% transient faults.
+    EXPECT_GT(ok, batch.size() / 2) << ServedIndexName(which);
+    faults += (*svc)->fault_injector(which)->stats().total_faults();
   }
+  EXPECT_GT(faults, 0u);
   std::remove(path.c_str());
 }
 
@@ -497,8 +486,7 @@ TEST(SnapshotFaultTest, DeadStructureDegradesWhileSiblingsServe) {
 
   ServiceOptions opt;
   opt.num_threads = 2;
-  opt.serving_buffer_frames = 16;
-  auto svc = QueryService::OpenFromSnapshot(path, opt, /*zero_copy=*/true);
+  auto svc = QueryService::OpenFromSnapshot(path, opt);
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();
 
   (*svc)->fault_injector(ServedIndex::kRPlus)->FailAllReads(true);
@@ -630,7 +618,7 @@ TEST(SnapshotConcurrencyTest, ConcurrentStreamsMatchSequentialAndCountExactly) {
   // Ground truth from a second service, so the one under test starts cold.
   BatchResult truth[std::size(kAllServedIndexes)];
   {
-    auto ref = QueryService::OpenFromSnapshot(path, opt, /*zero_copy=*/true);
+    auto ref = QueryService::OpenFromSnapshot(path, opt);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     for (ServedIndex which : kAllServedIndexes) {
       auto r = (*ref)->ExecuteBatchSequential(which, batch);
@@ -639,7 +627,7 @@ TEST(SnapshotConcurrencyTest, ConcurrentStreamsMatchSequentialAndCountExactly) {
     }
   }
 
-  auto svc = QueryService::OpenFromSnapshot(path, opt, /*zero_copy=*/true);
+  auto svc = QueryService::OpenFromSnapshot(path, opt);
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();
   QueryService* s = svc->get();
   RaceStreams(s, batch, truth);

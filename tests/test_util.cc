@@ -1,5 +1,9 @@
 #include "test_util.h"
 
+#include <gtest/gtest.h>
+
+#include "lsdb/service/query_service.h"
+
 namespace lsdb::testing {
 
 Status BruteForceIndex::Insert(SegmentId id, const Segment& s) {
@@ -98,6 +102,29 @@ PolygonalMap TinyGridMap(uint32_t cells, Coord world) {
   }
   map.Canonicalize();
   return map;
+}
+
+void ExpectThawedIndexRefused(QueryService* svc, ServedIndex which,
+                              const std::vector<QueryRequest>& batch) {
+  const BufferPool* pool = svc->index(which)->pool();
+  const uint64_t fetches = pool->hits() + pool->misses();
+  const CircuitBreaker& breaker = svc->breaker(which);
+  const bool open = breaker.open();
+  const uint64_t opened = breaker.times_opened();
+  const StatusOr<BatchResult> results[] = {
+      svc->ExecuteBatch(which, batch),
+      svc->ExecuteBatchSequential(which, batch),
+      svc->ExecuteBatchAdmitted(which, batch)};
+  for (const StatusOr<BatchResult>& res : results) {
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    ASSERT_EQ(res->responses.size(), batch.size());
+    for (const QueryResponse& r : res->responses) {
+      EXPECT_TRUE(r.status.IsInvalidArgument()) << r.status.ToString();
+    }
+  }
+  EXPECT_EQ(pool->hits() + pool->misses(), fetches);
+  EXPECT_EQ(breaker.open(), open);
+  EXPECT_EQ(breaker.times_opened(), opened);
 }
 
 }  // namespace lsdb::testing

@@ -9,7 +9,12 @@
 #include "lsdb/data/polygonal_map.h"
 #include "lsdb/geom/segment.h"
 #include "lsdb/index/spatial_index.h"
+#include "lsdb/service/request.h"
 #include "lsdb/util/random.h"
+
+namespace lsdb {
+class QueryService;  // lsdb/service/query_service.h
+}  // namespace lsdb
 
 namespace lsdb::testing {
 
@@ -43,6 +48,13 @@ std::vector<Segment> RandomSegments(Rng* rng, size_t n, Coord world,
 /// A small map: `cells` x `cells` grid of unit blocks scaled to the world
 /// (a miniature "urban" county, planar by construction).
 PolygonalMap TinyGridMap(uint32_t cells, Coord world);
+
+/// Expects the service's refusal of a thawed index: every response of
+/// ExecuteBatch, ExecuteBatchSequential and ExecuteBatchAdmitted is
+/// InvalidArgument, the index's pool fetches no page, and its breaker's
+/// open state and open count do not change.
+void ExpectThawedIndexRefused(QueryService* svc, ServedIndex which,
+                              const std::vector<QueryRequest>& batch);
 
 }  // namespace lsdb::testing
 

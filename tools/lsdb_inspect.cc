@@ -51,7 +51,7 @@ StatusOr<std::unique_ptr<QueryService>> OpenSnapshot(const std::string& path,
                                                      uint32_t threads) {
   ServiceOptions opt;
   opt.num_threads = threads;
-  return QueryService::OpenFromSnapshot(path, opt, /*zero_copy=*/true);
+  return QueryService::OpenFromSnapshot(path, opt);
 }
 
 Status XRayOne(QueryService* svc, ServedIndex which,
